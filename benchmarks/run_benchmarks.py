@@ -77,6 +77,14 @@ homogeneous fleet per shape (``packed_sweep_fragmented``); the
 claim.  When optional backends are importable the block grows
 ``packed_sweep_packed_<backend>`` entries timing the identical packed
 super-fleet on that substrate.
+
+The ``batch_call_cost_{c0,c1}`` entries fit the sweep planner's batch
+cost model (:func:`repro.scenarios.plan.batch_lease_cost`): one figure2
+pack group is timed at 1 and 27 rows, and the fixed per-cycle cost
+``c0`` and the per-row per-cycle cost ``c1`` are recorded as
+``seconds`` per million lockstep cycles - numerically microseconds per
+cycle, the unit of the planner's constants, which ride along in
+``meta["planner_us"]``.
 """
 
 from __future__ import annotations
@@ -399,6 +407,32 @@ def time_packed_sweep(
 
     def run():
         return run_fleet(cases, pack=pack)
+
+    return run
+
+
+def time_batch_call(rows: int, cycles: int) -> Callable[[], object]:
+    """One batch call over the first ``rows`` rows of a figure2 pack group.
+
+    figure2 at ``--kernel batch`` packs into two 27-row super-fleets
+    (one per priority rule) of mixed ``n = m`` shapes; the planner
+    costs such a call as ``cycles * (c0 + c1 * rows)``.
+    """
+    import dataclasses
+
+    from repro.parallel.fleet import pack_fleets, run_fleet
+    from repro.scenarios.compiler import compile_scenario
+    from repro.scenarios.registry import get_scenario
+
+    spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
+    cases = [
+        unit.case() for unit in compile_scenario(spec, kernel="batch")
+    ]
+    group = [cases[position] for position in pack_fleets(cases)[0]]
+    fleet = group[:rows]
+
+    def run():
+        return run_fleet(fleet)
 
     return run
 
@@ -898,6 +932,59 @@ def main(argv=None) -> int:
     else:
         print(
             "warning: numpy unavailable - skipping packed_sweep_* "
+            "(install the [batch] extra)",
+            file=sys.stderr,
+        )
+
+    # Batch call cost: one figure2 pack group at 1 and 27 rows, fitted
+    # to the planner's per-call model cycles * (c0 + c1 * rows).  The
+    # fit lands as two entries whose "seconds" are seconds per million
+    # lockstep cycles (numerically the planner's microseconds per
+    # cycle), so --compare flags drift from the committed fit; the
+    # planner's own constants ride in meta.
+    call_cycles = 1_000 if args.quick else 2_000
+    if numpy_available():
+        from repro.bus.system import _DEFAULT_WARMUP_FRACTION
+        from repro.scenarios import plan
+
+        steps = call_cycles + int(call_cycles * _DEFAULT_WARMUP_FRACTION)
+        call_us = {}
+        for rows in (1, 27):
+            timing = best_of(
+                5, time_batch_call(rows, call_cycles), warmup=max(warmup, 1)
+            )
+            call_us[rows] = timing[0] / steps * 1e6
+        c1 = (call_us[27] - call_us[1]) / 26
+        c0 = call_us[1] - c1
+        for name, value, planner_us in (
+            ("c0", c0, plan.BATCH_CALL_CYCLE_US),
+            ("c1", c1, plan.BATCH_ROW_CYCLE_US),
+        ):
+            results.append(
+                _entry(
+                    f"batch_call_cost_{name}",
+                    (value, value),
+                    {
+                        "scenario": "figure2",
+                        "rows": [1, 27],
+                        "cycles": call_cycles,
+                        "kernel": "batch",
+                        "backend": "numpy",
+                        "repeat": 5,
+                        "unit": "seconds per million lockstep cycles",
+                        "planner_us": planner_us,
+                    },
+                )
+            )
+        print(
+            f"batch_call_cost: c0 {c0:.1f} us/cycle (planner "
+            f"{plan.BATCH_CALL_CYCLE_US}), c1 {c1:.2f} us/row-cycle "
+            f"(planner {plan.BATCH_ROW_CYCLE_US})",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            "warning: numpy unavailable - skipping batch_call_cost_* "
             "(install the [batch] extra)",
             file=sys.stderr,
         )

@@ -323,7 +323,8 @@ def render_cache_stats(cache, telemetry: dict) -> str:
     Serial runs report the run cache's own
     :class:`~repro.parallel.cache.CacheStats`; service runs report the
     coordinator's pre-lease probe counters plus how many units were
-    actually dispatched to workers (zero on a fully-warm sweep).
+    actually dispatched to workers (zero on a fully-warm sweep) and,
+    last, how many leases carried them.
     """
     if telemetry:
         stats = telemetry.get("probe_stats")
@@ -337,7 +338,7 @@ def render_cache_stats(cache, telemetry: dict) -> str:
                 f" hits={stats.hits} misses={stats.misses} "
                 f"transient_errors={stats.transient_errors}"
             )
-        return line + "]"
+        return line + f" leases={telemetry.get('leases_issued', 0)}]"
     if cache is None:
         return "[cache-stats disabled]"
     stats = cache.stats

@@ -11,9 +11,14 @@ through the lease protocol (:mod:`repro.service.protocol`):
   dispatches zero units and skips the handshake entirely);
 * the remaining work is cut by the **sweep planner**
   (:func:`repro.scenarios.plan.carve_leases`) into position-list
-  leases: fleet-affine grouping keeps same-shape batch units together
-  (one vectorized fleet call per group on the worker) and leases are
-  sized by estimated cost instead of unit count;
+  leases: fleet-affine grouping keeps every batch unit of one pack
+  group in one lease (one padded fleet call on the worker, split only
+  when otherwise-idle workers shorten the estimated makespan, since a
+  batch call's fixed per-cycle cost dominates small fleets, or when
+  the group would be estimated to outlast a quarter of the lease
+  deadline), while
+  exact-kernel and analytic leases are sized by estimated cost instead
+  of unit count;
 * every lease carries a **deadline**; a lease whose results stop
   arriving in time marks its worker failed, and the unfinished
   positions are re-leased to healthy workers (per-position retry
@@ -54,19 +59,6 @@ PLAN_MODES = ("affine", "contiguous")
 """``affine`` groups leases by lockstep fleet key (the planner
 default); ``contiguous`` keeps the historical dense-range carving (the
 benchmark's control arm)."""
-
-
-def default_lease_size(total_units: int, workers: int) -> int:
-    """A count-based lease size balancing dispatch overhead and retry waste.
-
-    Four leases per worker keeps every worker busy while bounding the
-    work lost to one crash at ~1/4 of a worker's share; clamped to
-    [1, 256] so giant sweeps still stream progress.  Retained as the
-    reference sizing rule; the planner's cost-weighted carving
-    (:func:`repro.scenarios.plan.carve_leases`) generalizes it and is
-    what the coordinator uses when no explicit ``lease_size`` is given.
-    """
-    return max(1, min((total_units + workers * 4 - 1) // (workers * 4), 256))
 
 
 @dataclasses.dataclass
@@ -240,6 +232,7 @@ class Coordinator:
             workers=len(self._workers),
             lease_size=self.lease_size,
             affine=self.plan_mode == "affine",
+            deadline=self.deadline,
         )
 
     # ------------------------------------------------------------------

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.parallel.cache import ResultCache
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.execute import run_units
 from repro.scenarios.plan import (
     ANALYTIC_UNIT_COST,
+    BATCH_LEASE_DEADLINE_SHARE,
     MAX_LEASE_UNITS,
+    batch_lease_cost,
     carve_leases,
+    makespan,
     probe_cached,
     unit_cost,
 )
 from repro.engine.base import EvaluationMethod
+from repro.parallel.fleet import pack_key
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 
 
@@ -32,6 +41,13 @@ class TestUnitCost:
     def test_simulation_cost_is_cycles_plus_warmup(self):
         units = compile_scenario(_spec(cycles=500, warmup=100))
         assert unit_cost(units[0]) == 600.0
+
+    def test_default_warmup_is_counted(self):
+        # warmup=None steps int(cycles * 0.25) warmup cycles on every
+        # kernel, so the estimate must count them.
+        units = compile_scenario(_spec(cycles=800, warmup=None))
+        assert units[0].warmup is None
+        assert unit_cost(units[0]) == 800 * 1.25
 
     def test_analytic_cost_is_nominal(self):
         units = compile_scenario(_spec(method=EvaluationMethod.BANDWIDTH))
@@ -188,6 +204,94 @@ class TestCarveLeases:
         )
         flat = [p for lease in leases for p in lease]
         assert flat == list(range(len(units)))
+
+
+def _figure2_batch(cycles: int = 2000):
+    spec = dataclasses.replace(get_scenario("figure2"), cycles=cycles)
+    return compile_scenario(spec, kernel="batch")
+
+
+def _pack_groups(units, lease):
+    return {pack_key(units[position].case()) for position in lease}
+
+
+class TestBatchCostModel:
+    def test_batch_call_cost_is_fixed_plus_per_row(self):
+        one, two = batch_lease_cost(100, 1), batch_lease_cost(100, 2)
+        assert 0 < two - one < one
+        assert batch_lease_cost(200, 1) == 2 * one
+
+    def test_makespan_list_schedules_longest_first(self):
+        assert makespan([3, 3, 2, 2, 2], 2) == 7
+        assert makespan([5, 1], 4) == 5
+        assert makespan([], 2) == 0
+
+    # Two equal pack groups (one per priority rule): one or two workers
+    # get one lease each; on three, splitting one group still leaves
+    # the other as the makespan, so neither splits.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_figure2_carves_one_lease_per_pack_group(self, workers):
+        units = _figure2_batch()
+        leases = carve_leases(units, range(len(units)), workers=workers)
+        assert len(leases) == 2
+        assert sorted(len(lease) for lease in leases) == [27, 27]
+        assert all(len(_pack_groups(units, lease)) == 1 for lease in leases)
+        assert len({key for lease in leases
+                    for key in _pack_groups(units, lease)}) == 2
+
+    def test_idle_workers_split_groups_without_mixing_them(self):
+        units = _figure2_batch()
+        leases = carve_leases(units, range(len(units)), workers=4)
+        assert len(leases) <= 4
+        assert all(len(_pack_groups(units, lease)) == 1 for lease in leases)
+        flat = sorted(p for lease in leases for p in lease)
+        assert flat == list(range(len(units)))
+
+    def test_oversized_pack_group_is_still_capped(self):
+        units = compile_scenario(
+            _spec(
+                grid=(GridAxis("request_probability", tuple(
+                    round(0.002 * i + 0.01, 6) for i in range(150)
+                )),),
+                plan=ReplicationPlan(replications=2, base_seed=5),
+            ),
+            kernel="batch",
+        )
+        assert len(units) == 300
+        assert len({pack_key(unit.case()) for unit in units}) == 1
+        leases = carve_leases(units, range(len(units)), workers=1)
+        assert len(leases) == 2
+        assert max(len(lease) for lease in leases) <= MAX_LEASE_UNITS
+
+    # figure2 at 1M cycles steps 1.25M lockstep cycles per call: a whole
+    # 27-row group is estimated at about 77 s, over a quarter of the
+    # coordinator's 300 s default deadline, so each group is halved.
+    def test_long_cycle_group_is_split_to_fit_the_deadline(self):
+        units = _figure2_batch(cycles=1_000_000)
+        positions = range(len(units))
+        assert len(carve_leases(units, positions, workers=2)) == 2
+        leases = carve_leases(units, positions, workers=2, deadline=300.0)
+        assert sorted(len(lease) for lease in leases) == [13, 13, 14, 14]
+        assert all(len(_pack_groups(units, lease)) == 1 for lease in leases)
+        budget = 300.0 * BATCH_LEASE_DEADLINE_SHARE * 1e6
+        assert all(
+            batch_lease_cost(1_250_000, len(lease)) <= budget
+            for lease in leases
+        )
+
+    def test_deadline_too_short_for_any_call_leases_single_rows(self):
+        units = _figure2_batch()
+        leases = carve_leases(
+            units, range(len(units)), workers=2, deadline=0.01
+        )
+        assert [len(lease) for lease in leases] == [1] * len(units)
+
+    def test_explicit_lease_size_keeps_count_semantics_for_batch(self):
+        units = _figure2_batch()
+        leases = carve_leases(
+            units, range(len(units)), workers=2, lease_size=6
+        )
+        assert [len(lease) for lease in leases] == [6] * 9
 
 
 class TestProbeCached:

@@ -148,6 +148,18 @@ class TestCaching:
         assert warm.out == serial.out
         assert "probe_hits=8" in warm.err
         assert "dispatched=0" in warm.err
+        assert "leases=0]" in warm.err
+
+    def test_service_cache_stats_line_ends_with_the_lease_count(self):
+        from repro.scenarios.cli import render_cache_stats
+
+        line = render_cache_stats(
+            None,
+            {"units": 54, "dispatched": 54, "probe_hits": 0,
+             "leases_issued": 2},
+        )
+        assert line.startswith("[cache-stats probe_hits=0 dispatched=54 ")
+        assert line.endswith(" leases=2]")
 
 
 GOLDEN_TINY_FIRST_LINE = (

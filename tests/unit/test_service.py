@@ -8,7 +8,7 @@ from repro.core.errors import ConfigurationError, ExperimentError
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.spec import GridAxis, ReplicationPlan, ScenarioSpec
 from repro.service import protocol
-from repro.service.coordinator import Coordinator, default_lease_size
+from repro.service.coordinator import Coordinator
 from repro.service.transports import LoopbackTransport
 from repro.service.worker import WorkerSession
 
@@ -195,6 +195,24 @@ class TestCoordinator:
         with pytest.raises(ExperimentError, match="lease retries"):
             coordinator.run()
 
+    def test_batch_leases_are_carved_against_the_lease_deadline(self):
+        import dataclasses
+
+        from repro.scenarios.registry import get_scenario
+
+        spec = dataclasses.replace(
+            get_scenario("figure2"), cycles=1_000_000
+        )
+        transports = [LoopbackTransport("a"), LoopbackTransport("b")]
+        plans = {
+            deadline: Coordinator(
+                spec, transports, kernel="batch", deadline=deadline
+            )._plan_leases(list(range(54)))
+            for deadline in (300.0, 3000.0)
+        }
+        assert len(plans[3000.0]) == 2
+        assert len(plans[300.0]) == 4
+
     def test_single_loopback_worker_completes_everything(self):
         coordinator = Coordinator(
             tiny_spec(),
@@ -251,11 +269,6 @@ class TestCoordinator:
             )
             reports.append(render_report(coordinator.run()))
         assert reports[0] == reports[1]
-
-    def test_default_lease_size_bounds(self):
-        assert default_lease_size(1, 1) == 1
-        assert default_lease_size(100, 2) == 13
-        assert default_lease_size(10_000_000, 4) == 256
 
 
 class TestServiceCli:
