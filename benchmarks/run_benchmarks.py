@@ -78,6 +78,13 @@ claim.  When optional backends are importable the block grows
 ``packed_sweep_packed_<backend>`` entries timing the identical packed
 super-fleet on that substrate.
 
+The ``warm_probe_{keys,get_many}`` entries time the in-process half of
+a warm re-run of Tables 3(a) and 4: the 112 published cells x 80
+replications (8960 batch units, 100 cycles) keyed in bulk
+(:meth:`~repro.parallel.cache.ResultCache.keys`) and read back with one
+:meth:`~repro.parallel.cache.ResultCache.get_many` from a store filled
+beforehand in a temp directory.
+
 The ``batch_call_cost_{c0,c1}`` entries fit the sweep planner's batch
 cost model (:func:`repro.scenarios.plan.batch_lease_cost`): one figure2
 pack group is timed at 1 and 27 rows, and the fixed per-cycle cost
@@ -327,6 +334,35 @@ def time_cached_sweep(store: str, cycles: int) -> Callable[[], object]:
         )
 
     return run
+
+
+def warm_probe_units(cycles: int, replications: int) -> tuple:
+    """The 112 published cells of Tables 3(a) and 4 (n = 8, priority to
+    processors, p = 1), each replicated, as batch-kernel work units."""
+    from repro.experiments import paper_data
+    from repro.scenarios.compiler import compile_scenario
+    from repro.scenarios.spec import spec_from_mapping
+
+    cells = [[False, m, r] for m, r in sorted(paper_data.TABLE3A_SIMULATION)]
+    cells += [
+        [True, m, r] for m, r in sorted(paper_data.TABLE4_BUFFERED_SIMULATION)
+    ]
+    spec = spec_from_mapping(
+        {
+            "name": "paper-cells",
+            "cycles": cycles,
+            "warmup": cycles // 4,
+            "base": {"processors": 8, "priority": "processors"},
+            "grid": [
+                {
+                    "fields": ["buffered", "memories", "memory_cycle_ratio"],
+                    "values": cells,
+                }
+            ],
+            "replications": {"count": replications, "base_seed": 1985},
+        }
+    )
+    return compile_scenario(spec, kernel="batch")
 
 
 def time_planned_sweep(
@@ -799,6 +835,54 @@ def main(argv=None) -> int:
         f"{speedups['warm_cache_collapse']:.2f}x)",
         file=sys.stderr,
     )
+
+    # Warm-store probe legs: keying and bulk-reading the paper cells
+    # x 80 replications from a pre-filled store, the in-process share
+    # of a warm re-run of Tables 3(a) and 4.
+    if numpy_available():
+        from repro.parallel.cache import ResultCache
+
+        probe_cycles, probe_replications = 100, 80
+        units = warm_probe_units(probe_cycles, probe_replications)
+        probe_meta = {
+            "scenario": "paper-cells",
+            "units": len(units),
+            "cycles": probe_cycles,
+            "replications": probe_replications,
+            "kernel": "batch",
+            "repeat": 5,
+        }
+        with tempfile.TemporaryDirectory() as store:
+            cache = ResultCache(store)
+            keys = cache.keys(units)
+            for key in keys:
+                cache.put(
+                    key,
+                    {
+                        "ebw": 3.9876543210987654,
+                        "processor_utilization": 0.49845679013734567,
+                        "bus_utilization": 0.99691358027469135,
+                    },
+                )
+            keying = best_of(
+                5, lambda: cache.keys(units), warmup=max(warmup, 1)
+            )
+            reading = best_of(
+                5, lambda: cache.get_many(keys), warmup=max(warmup, 1)
+            )
+        results.append(_entry("warm_probe_keys", keying, probe_meta))
+        results.append(_entry("warm_probe_get_many", reading, probe_meta))
+        print(
+            f"warm_probe_keys: {keying[0]:.3f}s, warm_probe_get_many: "
+            f"{reading[0]:.3f}s ({len(units)} units)",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            "warning: numpy unavailable - skipping warm_probe_* "
+            "(install the [batch] extra)",
+            file=sys.stderr,
+        )
 
     if numpy_available():
         plan_replications = 4 if args.quick else 16

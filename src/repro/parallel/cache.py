@@ -11,6 +11,17 @@ canonical encoding of that triple:
 * the *version tag* - by default a digest over the library's own source
   files, so any code change invalidates every cached entry.
 
+Bulk keying
+-----------
+:func:`unit_keys` (and :meth:`ResultCache.keys`, its cache-bound
+form) is the one place a work unit becomes a key.  A sweep holds many
+units per *payload shape* - every payload field except the seed - so
+the payload is built and canonically encoded once per shape, with a
+marker where the seed goes; each unit's seed is then spliced into that
+encoding before hashing.  Units whose payload has no seed (the
+analytic methods) are keyed once per shape.  Every key is
+byte-identical to ``ResultCache.key(unit.payload())``.
+
 Concurrent store layout
 -----------------------
 Entries are single JSON files under a configurable directory (the
@@ -40,6 +51,11 @@ one filesystem:
   entry (unparseable JSON or a failed integrity check) is evicted;
   transient I/O errors (NFS hiccups, permission races) count as plain
   misses and leave the entry alone for the next reader.
+
+Reads build each entry's path as a plain string and fetch its bytes
+through :func:`read_entry_bytes` (one ``open(path, "rb")``), which is
+also the seam fault-injection tests patch; pathlib stays on the cold
+paths (writes, promotion, maintenance).
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.core.errors import ConfigurationError
 
@@ -61,6 +77,10 @@ SHARD_PREFIX_LENGTH = 2
 
 _SHARD_GLOB = "[0-9a-f]" * SHARD_PREFIX_LENGTH
 _CODE_VERSION: str | None = None
+
+_SEED_MARK = "\0seed\0"
+"""Stands in for the seed while a payload shape is encoded (see
+:func:`unit_keys`); no real payload field holds a NUL-delimited string."""
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -80,7 +100,83 @@ def canonical_json(payload: Any) -> str:
 
 def fingerprint(payload: Any) -> str:
     """SHA-256 hex digest of the canonical encoding of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(payload))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _envelope(payload: Any, version_tag: str | None) -> Any:
+    """What a key hashes: the payload, wrapped with a version tag if any."""
+    if version_tag is None:
+        return payload
+    return {"payload": payload, "version": version_tag}
+
+
+def unit_keys(units: Iterable, version_tag: str | None = None) -> list[str]:
+    """The key of every work unit, in order.
+
+    ``units`` are :class:`~repro.scenarios.compiler.WorkUnit` objects.
+    With a ``version_tag`` each key equals
+    ``ResultCache(version_tag=...).key(unit.payload())``; without one it
+    equals ``fingerprint(unit.payload())`` (the dedup key of a
+    cache-less run).  See *Bulk keying* in the module docstring.
+
+    Units share a shape when they agree on every field that enters the
+    payload except the seed.  The configuration and workload enter by
+    identity: compiled replications share one object, and equality
+    would merge ``p=1`` with ``p=1.0``, which encode differently.
+    """
+    units = list(units)  # every unit stays alive, so ids stay unique
+    keyers: dict[tuple, Any] = {}
+    keys = []
+    for unit in units:
+        shape = (
+            id(unit.config),
+            id(unit.workload),
+            unit.method,
+            unit.cycles,
+            unit.warmup,
+            unit.metrics,
+            unit.kernel,
+            unit.backend,
+        )
+        keyer = keyers.get(shape)
+        if keyer is None:
+            keyer = keyers[shape] = _shape_keyer(unit, version_tag)
+        keys.append(keyer(unit))
+    return keys
+
+
+def _shape_keyer(unit, version_tag: str | None):
+    """A ``unit -> key`` function for every unit of ``unit``'s shape.
+
+    The shape's payload is built once with :data:`_SEED_MARK` as the
+    seed.  A payload without the mark does not depend on the seed; one
+    that holds it once takes each unit's seed in its place.  A payload
+    holding it more than once (possible for an evaluator registered
+    outside the library) is keyed unit by unit, never spliced wrongly.
+    """
+    mark = canonical_json(_SEED_MARK)
+    marked = dataclasses.replace(unit, seed=_SEED_MARK).payload()
+    encoded = canonical_json(_envelope(marked, version_tag))
+    marks = encoded.count(mark)
+    if marks == 0:
+        key = _sha256(encoded)
+        return lambda _unit: key
+    if marks > 1:
+        return lambda other: fingerprint(
+            _envelope(other.payload(), version_tag)
+        )
+    head, _, tail = encoded.partition(mark)
+
+    def key_of(other) -> str:
+        seed = other.seed
+        text = str(seed) if type(seed) is int else canonical_json(seed)
+        return _sha256(head + text + tail)
+
+    return key_of
 
 
 def config_payload(config) -> dict[str, Any]:
@@ -189,6 +285,16 @@ class CacheStats:
     """Reads that failed on I/O (counted as misses, entry left alone)."""
 
 
+def read_entry_bytes(path: str) -> bytes:
+    """The raw bytes of the entry file at ``path``.
+
+    The store's only read: tests patch this function to inject I/O
+    faults.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read()
+
+
 class _Read:
     """Internal read outcomes distinguishing why an entry had no value."""
 
@@ -217,6 +323,7 @@ class ResultCache:
             version_tag if version_tag is not None else code_version_tag()
         )
         self.stats = CacheStats()
+        self._root = os.fspath(self.cache_dir) + os.sep
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -227,15 +334,26 @@ class ResultCache:
     # ------------------------------------------------------------------
     def key(self, payload: Mapping[str, Any]) -> str:
         """The cache key for ``payload`` under this cache's version tag."""
-        return fingerprint({"payload": payload, "version": self.version_tag})
+        return fingerprint(_envelope(payload, self.version_tag))
+
+    def keys(self, units: Iterable) -> list[str]:
+        """``[self.key(unit.payload()) for unit in units]``, computed in
+        bulk by :func:`unit_keys`."""
+        return unit_keys(units, self.version_tag)
 
     def path_for(self, key: str) -> pathlib.Path:
         """The sharded-layout file that does or would hold ``key``'s entry."""
-        return self.cache_dir / key[:SHARD_PREFIX_LENGTH] / f"{key}.json"
+        return pathlib.Path(self._entry_path(key))
 
     def legacy_path_for(self, key: str) -> pathlib.Path:
         """Where the pre-sharding flat layout kept ``key``'s entry."""
-        return self.cache_dir / f"{key}.json"
+        return pathlib.Path(self._legacy_entry_path(key))
+
+    def _entry_path(self, key: str) -> str:
+        return f"{self._root}{key[:SHARD_PREFIX_LENGTH]}{os.sep}{key}.json"
+
+    def _legacy_entry_path(self, key: str) -> str:
+        return f"{self._root}{key}.json"
 
     def _entry_paths(self) -> Iterator[pathlib.Path]:
         """Every entry file, sharded layout first, then legacy flat files."""
@@ -254,13 +372,13 @@ class ResultCache:
         I/O error) is left for the next reader and counted as a miss -
         deleting it would throw away work another process just paid for.
         """
-        path = self.path_for(key)
+        path = self._entry_path(key)
         value, state = self._read_entry(path, key)
         if state is None:
             self.stats.hits += 1
             return value
         if state == _Read.ABSENT:
-            legacy = self.legacy_path_for(key)
+            legacy = self._legacy_entry_path(key)
             value, state = self._read_entry(legacy, key)
             if state is None:
                 self._promote(key, legacy, value)
@@ -273,28 +391,24 @@ class ResultCache:
         self.stats.misses += 1
         return None
 
-    def _read_entry(
-        self, path: pathlib.Path, key: str
-    ) -> tuple[Any, str | None]:
+    def _read_entry(self, path: str, key: str) -> tuple[Any, str | None]:
         """Read one entry file: ``(value, None)`` or ``(None, why-not)``."""
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = read_entry_bytes(path)
         except FileNotFoundError:
             return None, _Read.ABSENT
         except OSError:
             self.stats.transient_errors += 1
             return None, _Read.TRANSIENT
         try:
-            entry = json.loads(raw)
+            entry = json.loads(raw.decode("utf-8"))
             if not isinstance(entry, dict) or entry.get("key") != key:
                 raise ValueError("cache entry fails integrity check")
             return entry["value"], None
         except (ValueError, KeyError, TypeError):
             return None, _Read.CORRUPT
 
-    def _promote(
-        self, key: str, legacy: pathlib.Path, value: Any
-    ) -> None:
+    def _promote(self, key: str, legacy: str, value: Any) -> None:
         """Move a flat-layout hit into the sharded layout (best effort).
 
         Writes the sharded entry first, then unlinks the flat file, so
@@ -303,7 +417,7 @@ class ResultCache:
         """
         try:
             self._write(key, value)
-            legacy.unlink(missing_ok=True)
+            pathlib.Path(legacy).unlink(missing_ok=True)
         except (OSError, ConfigurationError):
             pass
 
@@ -416,9 +530,9 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
 
-    def _evict(self, path: pathlib.Path) -> None:
+    def _evict(self, path: str) -> None:
         self.stats.evictions += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:  # pragma: no cover - racing deleters
             pass

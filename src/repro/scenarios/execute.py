@@ -218,17 +218,11 @@ def run_units(
     selects shape-packed super-fleets for batch-kernel units (the
     default) versus one fleet per homogeneous shape.
     """
-    from repro.parallel.cache import fingerprint
+    from repro.parallel.cache import unit_keys
 
     units = list(units)
-    keys: list[str] = []
+    keys = unit_keys(units) if cache is None else cache.keys(units)
     results: dict[int, UnitResult] = {}
-    for unit in units:
-        keys.append(
-            cache.key(unit.payload())
-            if cache is not None
-            else fingerprint(unit.payload())
-        )
     if cache is not None:
         # One batched probe resolves every cached unit up front
         # (repeated keys are probed once), so a warm sweep never reaches

@@ -6,7 +6,9 @@ position, and fleet rows are independent), so the service is free to
 plan.  This module turns a unit list into an execution plan in two
 steps:
 
-1. **Batched cache probe** (:func:`probe_cached`): one
+1. **Batched cache probe** (:func:`probe_cached`): one bulk
+   :meth:`~repro.parallel.cache.ResultCache.keys` call keys the
+   positions (one payload encoding per shape) and one
    :meth:`~repro.parallel.cache.ResultCache.get_many` call resolves
    every already-cached position before any dispatch, so warm or
    resumed sweeps never ship cached work to workers.
@@ -149,10 +151,9 @@ def probe_cached(
     validation is the caller's job (a malformed entry must trigger a
     recompute, not a crash).
     """
-    keys = {
-        position: cache.key(units[position].payload())
-        for position in positions
-    }
+    keys = dict(
+        zip(positions, cache.keys([units[position] for position in positions]))
+    )
     found = cache.get_many(keys.values())
     return {
         position: found[key]

@@ -238,23 +238,23 @@ class TestGetManyFailureEdges:
     def test_transient_oserror_mid_probe_is_a_miss_not_an_eviction(
         self, tmp_path, monkeypatch
     ):
-        import pathlib
+        from repro.parallel import cache as cache_module
 
         cache = ResultCache(cache_dir=tmp_path, version_tag="stress")
         keys = [cache.key({"slot": slot}) for slot in range(3)]
         for slot, key in enumerate(keys):
             cache.put(key, {"slot": slot})
         target = cache.path_for(keys[1])
-        real_read_text = pathlib.Path.read_text
+        real_read = cache_module.read_entry_bytes
         fired = []
 
-        def flaky_read_text(self, *args, **kwargs):
-            if self == target and not fired:
+        def flaky_read(path):
+            if path == str(target) and not fired:
                 fired.append(True)
                 raise PermissionError("transient probe failure")
-            return real_read_text(self, *args, **kwargs)
+            return real_read(path)
 
-        monkeypatch.setattr(pathlib.Path, "read_text", flaky_read_text)
+        monkeypatch.setattr(cache_module, "read_entry_bytes", flaky_read)
         probe = ResultCache(cache_dir=tmp_path, version_tag="stress")
         found = probe.get_many(keys)
         assert keys[1] not in found

@@ -185,18 +185,18 @@ class TestCorruptionRecovery:
         NFS hiccup evicted work another process had just paid to
         compute.  Now only proven corruption evicts.
         """
-        import pathlib
+        from repro.parallel import cache as cache_module
 
         key = cache.key({"x": 1})
         cache.put(key, {"value": 7})
-        real_read_text = pathlib.Path.read_text
+        real_read = cache_module.read_entry_bytes
 
-        def flaky_read_text(self, *args, **kwargs):
-            if self.name.endswith(".json"):
+        def flaky_read(path):
+            if path.endswith(".json"):
                 raise PermissionError("transient NFS glitch")
-            return real_read_text(self, *args, **kwargs)
+            return real_read(path)
 
-        monkeypatch.setattr(pathlib.Path, "read_text", flaky_read_text)
+        monkeypatch.setattr(cache_module, "read_entry_bytes", flaky_read)
         assert cache.get(key) is None
         monkeypatch.undo()
         # The entry is still there and readable.
