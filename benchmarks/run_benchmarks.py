@@ -32,7 +32,7 @@ gate reads) and ``mean`` the average (the dispersion hint: a mean far
 above the min means a noisy host).  Timings are machine-dependent; the
 *speedups* are the portable signal.  Batch-kernel fleet entries carry
 the array backend in their ``meta`` (``"backend"``), and when the
-optional numba/cupy backends are importable the fleet block grows
+optional numba backends are importable the fleet block grows
 ``batch_fleet_batch_<backend>`` entries timing the identical fleet on
 that substrate.
 
@@ -677,7 +677,7 @@ def main(argv=None) -> int:
     if "batch" in fleet_seconds:
         from repro.bus.backends import get_backend
 
-        for backend_name in ("numba", "numba-parallel", "cupy"):
+        for backend_name in ("numba", "numba-parallel"):
             backend = get_backend(backend_name)
             if not backend.available():
                 print(
@@ -972,7 +972,7 @@ def main(argv=None) -> int:
         )
         from repro.bus.backends import get_backend
 
-        for backend_name in ("numba", "numba-parallel", "cupy"):
+        for backend_name in ("numba", "numba-parallel"):
             backend = get_backend(backend_name)
             if not backend.available():
                 print(

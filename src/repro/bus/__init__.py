@@ -76,11 +76,12 @@ def simulate(
     requires the reference kernel.
 
     ``backend`` selects the batch kernel's array substrate
-    (:mod:`repro.bus.backends`): ``"numpy"`` (default), ``"numba"``
-    (JIT, bit-identical to numpy) or ``"cupy"`` (GPU, statistically
-    equivalent).  Non-default backends require ``kernel="batch"`` -
-    the other kernels have no array substrate to swap - and a missing
-    optional backend raises naming its install extra.
+    (:mod:`repro.bus.backends`): ``"numpy"`` (default), ``"numba"`` or
+    ``"numba-parallel"`` (JIT, serial or threaded over fleet rows, both
+    bit-identical to numpy).  Non-default backends require
+    ``kernel="batch"`` - the other kernels have no array substrate to
+    swap - and a missing optional backend raises naming its install
+    extra.
     """
     if backend != "numpy" and kernel != "batch":
         from repro.bus.backends import check_backend

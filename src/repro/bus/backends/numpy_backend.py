@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bus.backends.base import BATCH_ENGINE_TOKEN, BatchBackend
+from repro.bus.backends.base import BatchBackend
 
 
 class NumpyBackend(BatchBackend):
@@ -10,14 +10,11 @@ class NumpyBackend(BatchBackend):
 
     Bit-identical by definition (it *is* the kernel's array program) and
     therefore the anchor of the ``simulation-batch@1`` namespace every
-    bit-identical backend must reproduce.
+    other backend must reproduce.
     """
 
     name = "numpy"
     extra = "batch"
-    bitwise = True
-    engine_token = BATCH_ENGINE_TOKEN
-    supports_latency = True
 
     def available(self) -> bool:
         from repro.bus.batch import numpy_available

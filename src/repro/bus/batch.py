@@ -69,11 +69,10 @@ namespace with no token bump (hypothesis-proven in
 ``tests/properties/test_fleet_packing.py``).
 
 **Backends.**  The lockstep program runs on a pluggable array substrate
-(:mod:`repro.bus.backends`): ``numpy`` (default), ``numba`` (the same
-state arrays driven by a JIT-compiled scalar loop, bit-identical to
-numpy) or ``cupy`` (GPU, statistically equivalent).  Bit-identical
-backends share the :data:`BATCH_ENGINE_TOKEN` cache namespace; cupy
-owns its own.
+(:mod:`repro.bus.backends`): ``numpy`` (default), or ``numba`` /
+``numba-parallel`` (the same state arrays driven by a JIT-compiled
+scalar loop, serial or threaded over rows, bit-identical to numpy).
+All backends share the :data:`BATCH_ENGINE_TOKEN` cache namespace.
 
 **Buffered fast path.**  Input and output queues are circular-buffer
 index arrays (``(slots, m * fleet)`` rings plus per-module head/length
@@ -222,11 +221,10 @@ def check_batch_features(
     :func:`repro.bus.simulate` at request time and by
     :func:`repro.scenarios.compiler.compile_scenario` at scenario load
     time, so unsupported sweeps fail before any cycle is simulated.
-    Unknown backend names and backend capability mismatches (cupy
-    cannot feed the host-side latency sketches) are rejected here too.
+    Unknown backend names are rejected here too.
     """
     check_batch_metrics(metrics)
-    get_backend(backend).check_features(metrics=metrics)
+    get_backend(backend)
     if targets is not None:
         # Reuses the planner's type dispatch without building a plan.
         if not isinstance(
@@ -265,15 +263,12 @@ class _PhiloxLanes:
     gather.
     """
 
-    def __init__(
-        self,
-        backend: BatchBackend,
-        keys: Sequence[int],
-        chunk: int = _CHUNK,
-    ) -> None:
-        np = backend.require()
+    def __init__(self, np, keys: Sequence[int], chunk: int = _CHUNK) -> None:
         self._np = np
-        self._gens = backend.philox_generators(keys)
+        self._gens = [
+            np.random.Generator(np.random.Philox(key=int(key)))
+            for key in keys
+        ]
         self._chunk = chunk
         fleet = len(self._gens)
         self._buf = np.empty((fleet, chunk), dtype=np.float64)
@@ -460,9 +455,9 @@ class BatchBusKernel:
     backend:
         The array substrate to execute on: a registered name from
         :data:`repro.bus.backends.KNOWN_BACKENDS` or a
-        :class:`~repro.bus.backends.BatchBackend` instance.  numpy and
-        numba produce bit-identical results; cupy is statistically
-        equivalent.  Missing substrates raise naming the install extra.
+        :class:`~repro.bus.backends.BatchBackend` instance.  Every
+        backend produces bit-identical results.  Missing substrates
+        raise naming the install extra.
 
     :meth:`run` replicates the reference measurement protocol (warm-up
     exclusion, batch-means windows) per row and returns one
@@ -480,9 +475,6 @@ class BatchBusKernel:
         backend: str | BatchBackend = DEFAULT_BACKEND,
     ) -> None:
         self._backend = get_backend(backend)
-        self._backend.check_features(
-            metrics=("latency",) if collect_latency else ()
-        )
         np = self._backend.require()
         self._np = np
         configs = list(configs)
@@ -647,7 +639,7 @@ class BatchBusKernel:
         # --- per-row Philox streams, keyed by the derive_seed scheme.
         self._targets_lanes = (
             _PhiloxLanes(
-                self._backend,
+                np,
                 [derive_seed(seed, "targets") for seed in seeds],
             )
             if self._any_random
@@ -655,7 +647,7 @@ class BatchBusKernel:
         )
         self._think_lanes = (
             _PhiloxLanes(
-                self._backend,
+                np,
                 [derive_seed(seed, "think") for seed in seeds],
             )
             if not self._all_p1
@@ -663,7 +655,7 @@ class BatchBusKernel:
         )
         self._arb_lanes = (
             _PhiloxLanes(
-                self._backend,
+                np,
                 [derive_seed(seed, "arbitration") for seed in seeds],
             )
             if self._random_tie
@@ -671,7 +663,7 @@ class BatchBusKernel:
         )
         self._access_lanes = (
             _PhiloxLanes(
-                self._backend,
+                np,
                 [derive_seed(seed, "access-times") for seed in seeds],
             )
             if self._geometric
@@ -955,9 +947,9 @@ class BatchBusKernel:
                 f"a batch run is limited to {_NEVER} total bus cycles "
                 "(int32 cycle state); split the run or use kernel='fast'"
             )
-        # The backend owns the execution strategy: numpy (and cupy) run
-        # the vectorized loops below; numba drives its compiled scalar
-        # loop over the same state arrays.
+        # The backend owns the execution strategy: numpy runs the
+        # vectorized loops below; numba drives its compiled scalar loop
+        # over the same state arrays.
         self._backend.advance(self, count)
 
     def _make_arbiter(self):

@@ -185,9 +185,8 @@ class EvalRequest:
     fleet kernel) is reproducible in itself but not bit-identical, so
     batch requests cache under the distinct ``simulation-batch@1``
     engine namespace.  ``backend`` selects the batch kernel's array
-    substrate (:mod:`repro.bus.backends`); bit-identical backends
-    (numpy/numba) share the batch namespace, while others carry their
-    own engine token.
+    substrate (:mod:`repro.bus.backends`); every backend is
+    bit-identical to numpy, so all share the batch namespace.
     """
 
     config: SystemConfig

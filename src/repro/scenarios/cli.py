@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.bus.backends import DEFAULT_BACKEND, KNOWN_BACKENDS
 from repro.core.errors import ConfigurationError, ReproError
 from repro.scenarios.compiler import compile_scenario, parse_shard, shard_units
 from repro.scenarios.execute import run_units, unit_line
@@ -153,15 +154,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "numba", "numba-parallel", "cupy"),
-        default="numpy",
+        choices=KNOWN_BACKENDS,
+        default=DEFAULT_BACKEND,
         help="array substrate for the batch kernel (requires --kernel "
         "batch): 'numpy' (default), 'numba' (JIT-compiled cycle loop, "
-        "bit-identical to numpy, [batch-jit] extra), 'numba-parallel' "
+        "bit-identical to numpy, [batch-jit] extra) or 'numba-parallel' "
         "(same loop under prange over fleet rows, bit-identical, "
-        "[batch-jit] extra) or 'cupy' (GPU, statistically equivalent, "
-        "own cache namespace, [batch-gpu] extra); a missing backend "
-        "fails loudly naming its extra",
+        "[batch-jit] extra); a missing backend fails loudly naming its "
+        "extra",
     )
     parser.add_argument(
         "--pack",
@@ -227,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # silent precedence pick would hand back the wrong tier.
         parser.error("--fast conflicts with --kernel batch; pick one")
     kernel = "fast" if args.fast else args.kernel
-    if args.backend != "numpy" and kernel != "batch":
+    if args.backend != DEFAULT_BACKEND and kernel != "batch":
         # Backends are the batch kernel's array substrate; silently
         # ignoring --backend on another kernel would misreport what ran.
         parser.error("--backend requires --kernel batch")

@@ -72,9 +72,8 @@ class WorkUnit:
     backend: str = DEFAULT_BACKEND
     """Array substrate of the batch kernel (:mod:`repro.bus.backends`).
     Like ``kernel`` it is an execution lever and stays out of
-    :meth:`payload` *except* through the engine token: bit-identical
-    backends (numpy/numba) share ``simulation-batch@1``, while
-    statistically-equivalent backends (cupy) carry their own token."""
+    :meth:`payload`: every backend is bit-identical to numpy, so all
+    share the ``simulation-batch@1`` engine token."""
 
     @property
     def collects_latency(self) -> bool:
@@ -160,7 +159,7 @@ def compile_scenario(
         from repro.bus.backends import check_backend
 
         try:
-            check_backend(kernel, backend, metrics=spec.metrics)
+            check_backend(kernel, backend)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"scenario {spec.name!r} cannot run under "

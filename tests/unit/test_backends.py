@@ -3,16 +3,18 @@
 Covers the registry surface (:mod:`repro.bus.backends`), the
 missing-dependency diagnostics (each optional backend must fail loudly
 naming its install extra - never fall back to numpy silently), the
-backend/kernel validation shared by ``simulate``, ``compile_scenario``
-and the ``scenario`` CLI, and the engine-token routing that keeps
-bit-identical backends in one cache namespace and statistically
-equivalent ones out of it.  The numerical numpy == numba contract lives
-in ``tests/properties/test_backend_equivalence.py``.
+lazy numba import, the backend/kernel validation shared by
+``simulate``, ``compile_scenario`` and the CLIs, and the one engine
+token every (bit-identical) backend shares.  The numerical numpy ==
+numba contract lives in ``tests/properties/test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import builtins
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,7 +47,7 @@ class TestRegistry:
         from repro.bus.backends import get_backend
 
         with pytest.raises(
-            ConfigurationError, match="numpy, numba, numba-parallel, cupy"
+            ConfigurationError, match="numpy, numba, numba-parallel"
         ):
             get_backend("torch")
 
@@ -55,22 +57,63 @@ class TestRegistry:
         instance = NumbaBackend(jit=False)
         assert get_backend(instance) is instance
 
-    def test_engine_tokens_split_on_bit_identity(self):
-        from repro.bus.backends import (
-            BATCH_ENGINE_TOKEN,
-            CUPY_ENGINE_TOKEN,
-            backend_engine_token,
-        )
+    def test_known_backends_are_the_bit_identical_three(self):
+        from repro.bus.backends import KNOWN_BACKENDS
 
-        # numpy and numba are proven bit-identical, so their cache
+        assert KNOWN_BACKENDS == ("numpy", "numba", "numba-parallel")
+
+    def test_every_backend_shares_the_batch_engine_token(self):
+        from repro.bus.backends import BATCH_ENGINE_TOKEN, KNOWN_BACKENDS
+        from repro.engine import EvalRequest, EvaluationMethod, get_evaluator
+
+        # Every backend is proven bit-identical to numpy, so their cache
         # entries are interchangeable: one shared namespace.
-        assert backend_engine_token("numpy") == BATCH_ENGINE_TOKEN
-        assert backend_engine_token("numba") == BATCH_ENGINE_TOKEN
-        assert backend_engine_token("numba-parallel") == BATCH_ENGINE_TOKEN
-        # cupy is only statistically equivalent: its entries must never
-        # be served to (or from) the bit-identical pair.
-        assert backend_engine_token("cupy") == CUPY_ENGINE_TOKEN
-        assert CUPY_ENGINE_TOKEN != BATCH_ENGINE_TOKEN
+        evaluator = get_evaluator(EvaluationMethod.SIMULATION)
+        payloads = [
+            evaluator.cache_payload(
+                EvalRequest(
+                    SystemConfig(2, 2, 2),
+                    cycles=500,
+                    seed=3,
+                    kernel="batch",
+                    backend=name,
+                )
+            )
+            for name in KNOWN_BACKENDS
+        ]
+        assert payloads[0]["engine"] == BATCH_ENGINE_TOKEN
+        assert all(payload == payloads[0] for payload in payloads)
+
+
+class TestLazyNumba:
+    def test_numpy_batch_run_never_imports_numba(self):
+        """Importing the backends package (which registers both numba
+        backends) and running the numpy backend must not pay the numba
+        import: numba loads only when a JIT loop is first compiled."""
+        pytest.importorskip("numpy")
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        code = (
+            "import sys\n"
+            "import repro.bus.batch as batch\n"
+            "from repro.core.config import SystemConfig\n"
+            "batch.run_batch(SystemConfig(2, 2, 2), cycles=200, seed=1)\n"
+            "print('numba' in sys.modules)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestMissingDependencies:
@@ -93,17 +136,6 @@ class TestMissingDependencies:
         assert not backend.available()
         with pytest.raises(
             ConfigurationError, match=r"repro-single-bus\[batch-jit\]"
-        ):
-            backend.require()
-
-    def test_missing_cupy_raises_naming_batch_gpu_extra(self, monkeypatch):
-        from repro.bus.backends import CupyBackend
-
-        backend = CupyBackend()
-        _block_import(monkeypatch, "cupy")
-        assert not backend.available()
-        with pytest.raises(
-            ConfigurationError, match=r"repro-single-bus\[batch-gpu\]"
         ):
             backend.require()
 
@@ -153,21 +185,35 @@ class TestValidation:
                     backend="numba",
                 )
 
-    def test_cupy_rejects_latency_collection(self):
-        from repro.bus.backends import get_backend
-
-        with pytest.raises(ConfigurationError, match="latency"):
-            get_backend("cupy").check_features(metrics=("latency",))
-        # The non-latency path passes validation (availability is a
-        # separate, later check).
-        get_backend("cupy").check_features(metrics=())
-
     def test_check_batch_features_threads_backend(self):
         from repro.bus.batch import check_batch_features
 
-        with pytest.raises(ConfigurationError, match="latency"):
+        with pytest.raises(ConfigurationError, match="known backends"):
             check_batch_features(metrics=("latency",), backend="cupy")
         check_batch_features(metrics=("latency",), backend="numba")
+        check_batch_features(metrics=("latency",), backend="numba-parallel")
+
+    @pytest.mark.parametrize(
+        "parallel", [False, True], ids=["serial", "parallel"]
+    )
+    def test_too_many_buffered_geometric_memories_rejected(self, parallel):
+        """A buffered geometric row can pull one access draw per module
+        plus two per cycle, so more than ``chunk - 2`` memories cannot
+        fit one stream buffer: the driver must refuse loudly, naming the
+        numpy backend, before it could ever report a stalled loop."""
+        pytest.importorskip("numpy")
+        from repro.bus.backends import NumbaBackend, NumbaParallelBackend
+        from repro.bus.batch import run_batch
+
+        backend_type = NumbaParallelBackend if parallel else NumbaBackend
+        with pytest.raises(ConfigurationError, match="backend='numpy'"):
+            run_batch(
+                SystemConfig(1, 2047, 2, buffered=True),
+                cycles=50,
+                seed=1,
+                geometric_access_times=True,
+                backend=backend_type(jit=False),
+            )
 
 
 class TestScenarioCompiler:
@@ -209,19 +255,11 @@ class TestScenarioCompiler:
         for parallel_unit, numpy_unit in zip(parallel_units, numpy_units):
             assert parallel_unit.payload() == numpy_unit.payload()
 
-    def test_cupy_units_live_in_their_own_namespace(self):
-        from repro.scenarios.compiler import compile_scenario
-
-        units = compile_scenario(
-            self._spec(), kernel="batch", backend="cupy"
-        )
-        assert units[0].payload()["engine"] == "simulation-batch-cupy@1"
-
     def test_unknown_backend_rejected_at_compile_time(self):
         from repro.scenarios.compiler import compile_scenario
 
         with pytest.raises(
-            ConfigurationError, match="numpy, numba, numba-parallel, cupy"
+            ConfigurationError, match="numpy, numba, numba-parallel"
         ):
             compile_scenario(self._spec(), kernel="batch", backend="mlx")
 
@@ -232,16 +270,6 @@ class TestScenarioCompiler:
             ConfigurationError, match="requires kernel='batch'"
         ):
             compile_scenario(self._spec(), kernel="fast", backend="numba")
-
-    def test_cupy_latency_scenario_rejected_at_compile_time(self):
-        from repro.scenarios.compiler import compile_scenario
-
-        with pytest.raises(ConfigurationError, match="latency"):
-            compile_scenario(
-                self._spec(metrics=("latency",)),
-                kernel="batch",
-                backend="cupy",
-            )
 
 
 class TestFleetGrouping:
@@ -285,3 +313,23 @@ class TestCli:
             )
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scenario", "sweep-serve"])
+    def test_cupy_is_not_a_backend_choice(self, capsys, command):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    command,
+                    "figure2",
+                    "--kernel",
+                    "batch",
+                    "--backend",
+                    "cupy",
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'cupy'" in err
+        assert "numba-parallel" in err
