@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.config import SystemConfig
 from repro.des.replications import replicate
-from repro.parallel import EbwTask, ParallelReplicator, ResultCache
+from repro.parallel import EbwTask, ResultCache
 
 CONFIG = SystemConfig(8, 8, 8)
 REPLICATIONS = 4
@@ -30,9 +30,10 @@ def test_replicate_serial_reference(benchmark):
 def test_parallel_replicator_pool(benchmark):
     """Pool dispatch (includes worker startup; dominated by it here)."""
     task = EbwTask(CONFIG, cycles=BENCH_PARALLEL_CYCLES)
-    replicator = ParallelReplicator(max_workers=2)
     result = benchmark(
-        lambda: replicator.run(task, replications=REPLICATIONS, base_seed=1)
+        lambda: replicate(
+            task, replications=REPLICATIONS, base_seed=1, max_workers=2
+        )
     )
     assert result.replications == REPLICATIONS
 

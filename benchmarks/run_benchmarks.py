@@ -421,11 +421,12 @@ def time_packed_sweep(
     Every (n, m) system crossed with every access ratio, ``replications``
     seeds per point: 15 distinct shapes that share the pack fields.
     ``pack=True`` runs the whole grid as one padded super-fleet batch
-    call; ``pack=False`` runs one homogeneous lockstep fleet per shape.
+    call; ``pack=False`` runs each homogeneous :func:`group_fleets`
+    group alone through :func:`run_fleet`, one lockstep fleet per shape.
     Identical bytes either way (the packing contract) - the timing gap
     is the per-call overhead packing exists to amortize.
     """
-    from repro.parallel.fleet import run_fleet
+    from repro.parallel.fleet import group_fleets, run_fleet
     from repro.parallel.workers import SimulationCase
 
     cases = [
@@ -441,8 +442,13 @@ def time_packed_sweep(
         for seed in range(replications)
     ]
 
+    groups = [cases] if pack else [
+        [cases[position] for position in group]
+        for group in group_fleets(cases)
+    ]
+
     def run():
-        return run_fleet(cases, pack=pack)
+        return [run_fleet(group) for group in groups]
 
     return run
 

@@ -81,11 +81,11 @@ def _z_value(confidence: float) -> float:
 def replication_seeds(base_seed: int, replications: int) -> tuple[int, ...]:
     """The canonical seed tuple ``base_seed, base_seed + 1, ...``.
 
-    Single source of truth for the seed-to-replication mapping: both the
-    serial path below and :class:`repro.parallel.ParallelReplicator`
-    derive their seeds here, which is what makes serial and parallel
-    replication results bit-for-bit identical.  Distinct seeds produce
-    independent random streams (see :mod:`repro.des.rng`).
+    Single source of truth for the seed-to-replication mapping: the
+    serial and pooled paths below both derive their seeds here, which is
+    what makes serial and parallel replication results bit-for-bit
+    identical.  Distinct seeds produce independent random streams (see
+    :mod:`repro.des.rng`).
     """
     if replications < 2:
         raise ConfigurationError(
@@ -108,23 +108,29 @@ def replicate(
     replications are fanned out over a process pool (``max_workers``
     processes, defaulting to the CPU count); the estimator must then be
     picklable - e.g. the task returned by :func:`ebw_estimator` or any
-    module-level function.  The result is identical to the serial run
-    either way.
+    module-level function - or a :class:`ConfigurationError` is raised.
+    With ``max_workers=1`` the loop stays in-process and any callable
+    works.  The result is identical to the serial run either way.
     """
-    if parallel or max_workers is not None:
-        from repro.parallel.replicator import ParallelReplicator
-
-        return ParallelReplicator(max_workers=max_workers).run(
-            estimator,
-            replications,
-            base_seed=base_seed,
-            confidence=confidence,
-        )
     seeds = replication_seeds(base_seed, replications)
-    estimates = tuple(estimator(seed) for seed in seeds)
+    estimates = tuple(_map_seeds(estimator, seeds, parallel, max_workers))
     return ReplicationResult(
         estimates=estimates, seeds=seeds, confidence=confidence
     )
+
+
+def _map_seeds(estimator, seeds, parallel: bool, max_workers: int | None):
+    """One estimate per seed, in seed order.
+
+    In-process unless ``parallel`` or a ``max_workers`` value asks for
+    the pool (:func:`repro.parallel.pool.map_ordered`, imported only
+    then so serial callers never load the process machinery).
+    """
+    if not parallel and max_workers is None:
+        return map(estimator, seeds)
+    from repro.parallel.pool import map_ordered
+
+    return map_ordered(estimator, seeds, max_workers=max_workers)
 
 
 def replicate_until(
@@ -219,18 +225,13 @@ def replicate_latency(
     (e.g. :class:`repro.parallel.workers.LatencyTask`).  Seeds follow
     the canonical :func:`replication_seeds` mapping; with
     ``parallel=True`` (or an explicit ``max_workers``) the replications
-    fan out over :class:`repro.parallel.ParallelReplicator`, whose
-    result is bit-for-bit identical to the serial loop here.
+    fan out over a process pool exactly as in :func:`replicate`; the
+    result is bit-for-bit identical to the serial loop.
     """
-    if parallel or max_workers is not None:
-        from repro.parallel.replicator import ParallelReplicator
-
-        return ParallelReplicator(max_workers=max_workers).run_latency(
-            estimator, replications, base_seed=base_seed
-        )
     seeds = replication_seeds(base_seed, replications)
     return LatencyReplication(
-        reports=tuple(estimator(seed) for seed in seeds), seeds=seeds
+        reports=tuple(_map_seeds(estimator, seeds, parallel, max_workers)),
+        seeds=seeds,
     )
 
 

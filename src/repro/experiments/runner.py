@@ -10,7 +10,6 @@ Usage::
     python -m repro.experiments scenario       # list declarative scenarios
     python -m repro.experiments scenario figure2 --shard 1/4 --jobs 8
     python -m repro.experiments scenario figure2 --workers 4
-    python -m repro.experiments sweep-serve figure2 --workers 4
     python -m repro.experiments sweep-work     # one stdio protocol worker
     python -m repro.experiments cache sweep    # sweep orphaned tmp files
 
@@ -21,10 +20,11 @@ curves.
 
 Parallelism and caching
 -----------------------
-``--jobs N`` fans experiments out over ``N`` worker processes (and, for
-a single experiment that supports it, parallelises its internal sweep
-grid).  Results are deterministic functions of ``(experiment, seed,
-cycles)``, so the report bytes are identical whatever ``N`` is.
+``--jobs N`` fans experiments out over ``N`` worker processes through
+the library's one ordered pool map (:func:`repro.parallel.pool.map_ordered`)
+and hands any surplus workers to each experiment's internal sweep grid.
+Results are deterministic functions of ``(experiment, seed, cycles)``,
+so the report bytes are identical whatever ``N`` is.
 
 Completed results are cached by default under ``$REPRO_CACHE_DIR``
 (``~/.cache/repro-single-bus`` if unset), keyed on a content hash of the
@@ -42,13 +42,12 @@ TOML/JSON spec file, optionally as one shard of a multi-machine sweep
 
 The sweep service
 -----------------
-``sweep-serve`` runs a scenario through the distributed sweep service
-(:mod:`repro.service`): a coordinator leases contiguous unit ranges to
-``--workers N`` subprocess workers (each a ``sweep-work`` process
+``scenario --workers N`` runs a scenario through the distributed sweep
+service (:mod:`repro.service`): a coordinator leases planned unit
+ranges to ``N`` subprocess workers (each a ``sweep-work`` process
 speaking newline-delimited JSON over stdio), retries the leases of
 dead or straggling workers, and merges the streamed results into
-stdout byte-identical to the serial ``scenario`` run.  ``scenario
---workers N`` is the same machinery behind the familiar subcommand.
+stdout byte-identical to the serial ``scenario`` run.
 """
 
 from __future__ import annotations
@@ -129,10 +128,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.scenarios.cli import main as scenario_main
 
         return scenario_main(argv[1:])
-    if argv and argv[0] == "sweep-serve":
-        from repro.service.cli import serve_main
-
-        return serve_main(argv[1:])
     if argv and argv[0] == "sweep-work":
         from repro.service.cli import work_main
 
@@ -291,7 +286,7 @@ class _Outcome:
 
 
 def _run_registered(item: tuple[str, dict]) -> tuple[ExperimentResult, float]:
-    """Pool worker: run one registered experiment by id (spawn-safe).
+    """Run one registered experiment by id (module-level, spawn-safe).
 
     Returns the result with its own wall time, so pooled runs report
     true per-experiment timings.
@@ -309,7 +304,7 @@ def _run_outcomes(
     jobs: int = 1,
     cache=None,
 ) -> Iterator[_Outcome]:
-    """Run experiments (with optional pool and cache), in registry order."""
+    """Run experiments (with optional pool and cache), in the given order."""
     if not ids or list(ids) == ["all"]:
         specs = list(all_experiments())
     else:
@@ -340,72 +335,32 @@ def _run_outcomes(
 
     pending = [index for index in range(len(specs)) if index not in results]
 
-    # Pooled execution streams: every uncached experiment is submitted
-    # up front, but each report is yielded as soon as its (in-order)
-    # result arrives, matching the serial path's incremental output.
-    executor = None
-    futures: dict[int, object] = {}
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # Uncached experiments stream through the ordered pool map: each
+    # report is yielded as soon as its (in-order) result arrives, and
+    # with one job or one pending experiment the map runs in-process.
+    # Workers beyond the experiment count are handed down to each
+    # experiment's own grid (the cache payload keeps the jobs-free
+    # kwargs, so worker counts never reach a cache key).
+    from repro.parallel.pool import map_ordered
 
-        # Workers beyond the experiment count are handed down to each
-        # experiment's own grid (the cache payload keeps the jobs-free
-        # kwargs, so worker counts never reach a cache key).
-        share = max(1, jobs // len(pending))
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))
-            )
-            for index in pending:
-                kwargs = dict(run_kwargs[index])
-                if share > 1 and _accepts_jobs(specs[index]):
-                    kwargs["jobs"] = share
-                futures[index] = executor.submit(
-                    _run_registered, (specs[index].experiment_id, kwargs)
-                )
-        except (OSError, ValueError, ImportError):
-            # Pool-less platform (CPython raises ImportError when POSIX
-            # semaphores are missing): fall back to the serial loop below.
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-            executor = None
-            futures = {}
+    share = max(1, jobs // max(1, len(pending)))
+    items = []
+    for index in pending:
+        kwargs = dict(run_kwargs[index])
+        if share > 1 and _accepts_jobs(specs[index]):
+            kwargs["jobs"] = share
+        items.append((specs[index].experiment_id, kwargs))
+    computed = map_ordered(_run_registered, items, max_workers=jobs)
 
-    try:
-        for index in range(len(specs)):
-            spec = specs[index]
-            if index in results:
-                result, elapsed, cached = results[index]
-            elif index in futures:
-                result, elapsed = _pooled_result(
-                    futures[index], spec, run_kwargs[index]
-                )
-                cached = False
-            else:
-                kwargs = dict(run_kwargs[index])
-                if jobs > 1 and _accepts_jobs(spec):
-                    kwargs["jobs"] = jobs
-                started = time.time()
-                result = spec.run(**kwargs)
-                elapsed = time.time() - started
-                cached = False
-            if cache is not None and not cached:
+    for index, spec in enumerate(specs):
+        if index in results:
+            result, elapsed, cached = results[index]
+        else:
+            result, elapsed = next(computed)
+            cached = False
+            if cache is not None:
                 _store_guarded(cache, _cache_payload(spec, run_kwargs[index]), result)
-            yield _Outcome(result, _format(spec, result, chart), elapsed, cached)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _pooled_result(future, spec: ExperimentSpec, kwargs: dict):
-    """Collect one pooled experiment, recomputing in-process if the
-    pool died underneath it."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return _run_registered((spec.experiment_id, kwargs))
+        yield _Outcome(result, _format(spec, result, chart), elapsed, cached)
 
 
 def _store_guarded(cache, payload: dict, result: ExperimentResult) -> None:

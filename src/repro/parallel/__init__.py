@@ -7,18 +7,16 @@ guarantee: *the numbers do not depend on how they were scheduled*.
 
 Three pieces cooperate:
 
-* :class:`ParallelReplicator` (:mod:`repro.parallel.replicator`) fans
-  independent replications over a pool while preserving the serial
-  seed-to-estimate mapping, returning the same
-  :class:`~repro.des.replications.ReplicationResult` bit-for-bit;
+* :func:`map_ordered` (:mod:`repro.parallel.pool`) is the one
+  order-preserving, lazily-yielding process-pool map; replications
+  (:func:`repro.des.replications.replicate` with ``max_workers``),
+  sweep grids, scenario units (``--jobs``) and whole experiments all
+  fan out through it, and :mod:`repro.parallel.workers` supplies the
+  spawn-safe picklable tasks they dispatch;
 * :class:`ResultCache` (:mod:`repro.parallel.cache`) is a
   content-addressed JSON store keyed on a canonical hash of the work
   description plus a code-version tag, so repeated sweeps and experiment
   runs skip already-computed points;
-* :mod:`repro.parallel.pool` and :mod:`repro.parallel.workers` supply
-  the order-preserving pool map and the spawn-safe picklable tasks the
-  other layers (``des.replications``, ``analysis.sweeps``,
-  ``analysis.sensitivity``, ``experiments.runner``) dispatch through;
 * :mod:`repro.parallel.fleet` aggregates batch-kernel simulation cases
   into lockstep fleets (:func:`~repro.parallel.fleet.run_fleet`,
   :func:`~repro.parallel.fleet.replicate_batch`), handing whole
@@ -56,7 +54,6 @@ from repro.parallel.cache import (
     reset_code_version_tag,
 )
 from repro.parallel.pool import map_ordered, resolve_workers
-from repro.parallel.replicator import ParallelReplicator
 from repro.parallel.workers import (
     EbwTask,
     LatencyTask,
@@ -66,7 +63,6 @@ from repro.parallel.workers import (
 )
 
 __all__ = [
-    "ParallelReplicator",
     "ResultCache",
     "fleet_key",
     "group_fleets",

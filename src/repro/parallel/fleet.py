@@ -103,9 +103,7 @@ def pack_fleets(cases: Sequence[SimulationCase]) -> list[list[int]]:
     return list(groups.values())
 
 
-def run_fleet(
-    cases: Sequence[SimulationCase], pack: bool = True
-) -> list[SimulationResult]:
+def run_fleet(cases: Sequence[SimulationCase]) -> list[SimulationResult]:
     """Execute simulation cases through lockstep batch fleets.
 
     The batch counterpart of
@@ -117,18 +115,16 @@ def run_fleet(
     sketch-based :class:`~repro.metrics.LatencyReport` values attached;
     raises :class:`ConfigurationError` when numpy is unavailable.
 
-    ``pack=True`` (the default) groups by :func:`pack_key`, running
-    shape-heterogeneous cases as padded super-fleets; ``pack=False``
-    keeps the homogeneous :func:`fleet_key` grouping.  The two produce
-    identical bytes - packing only changes how many kernel calls are
-    made.
+    Cases are grouped by :func:`pack_key`, running shape-heterogeneous
+    cases as padded super-fleets.  Each row's bytes equal those of its
+    homogeneous :func:`group_fleets` group run alone - packing only
+    changes how many kernel calls are made.
     """
     from repro.bus.batch import BatchBusKernel
 
     cases = list(cases)
     results: dict[int, SimulationResult] = {}
-    grouping = pack_fleets(cases) if pack else group_fleets(cases)
-    for positions in grouping:
+    for positions in pack_fleets(cases):
         configs = []
         seeds = []
         targets = []

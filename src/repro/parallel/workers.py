@@ -94,7 +94,7 @@ def run_case(case: SimulationCase) -> SimulationResult:
 
 
 def simulate_cases(
-    cases, max_workers: int | None = None, mp_context=None
+    cases, max_workers: int | None = None
 ) -> list[SimulationResult]:
     """Run many :class:`SimulationCase` items, results in input order.
 
@@ -103,9 +103,7 @@ def simulate_cases(
     """
     from repro.parallel.pool import map_ordered
 
-    return map_ordered(
-        run_case, cases, max_workers=max_workers, mp_context=mp_context
-    )
+    return list(map_ordered(run_case, cases, max_workers=max_workers))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,9 +135,8 @@ class LatencyTask:
     The latency counterpart of :class:`EbwTask`: calling it with a seed
     runs the seeded simulation with latency collection enabled and
     returns the run's wait/service/total summaries.  Used by
-    :func:`repro.des.replications.replicate_latency` and
-    :meth:`repro.parallel.replicator.ParallelReplicator.run_latency`,
-    whose results are bit-for-bit identical because both merge the same
+    :func:`repro.des.replications.replicate_latency`, whose serial and
+    pooled results are bit-for-bit identical because both merge the same
     per-seed reports in the same seed order.
     """
 

@@ -4,6 +4,7 @@ Usage::
 
     repro-experiments scenario                          # list scenarios
     repro-experiments scenario figure2 --jobs 8
+    repro-experiments scenario figure2 --workers 4      # sweep service
     repro-experiments scenario my-sweep.toml --shard 2/4
     repro-experiments scenario table3a --shard 1/3 > shard1.out
 
@@ -14,12 +15,20 @@ the shard outputs, and ``sort`` them (or pass them through
 :func:`repro.scenarios.execute.merge_reports`): the result is
 byte-identical to the unsharded run.  Headers, timings and summaries go
 to stderr so stdout stays mergeable and reproducible.
+
+``--workers N`` runs the same units through the distributed sweep
+service (:func:`repro.service.coordinator.run_service`) with ``N``
+subprocess workers; ``--lease-size``, ``--deadline`` and
+``--chaos-kill-after`` tune that path and require it.  The bytes match
+the serial run whatever the worker count, lease carving or crash
+history.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from typing import Sequence
@@ -40,9 +49,9 @@ def apply_spec_overrides(
 ):
     """Apply the CLI's ``--cycles``/``--seed``/``--metrics`` overrides.
 
-    Shared by the ``scenario`` and ``sweep-serve`` subcommands so both
-    spell the identical spec - which is what licenses their outputs to
-    be byte-compared.
+    The one place a spec is spelled from these flags, shared by the
+    serial path, the ``--workers`` service path and benchmark harnesses
+    - which is what licenses their outputs to be byte-compared.
     """
     if cycles is not None:
         spec = dataclasses.replace(spec, cycles=cycles)
@@ -104,8 +113,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="N",
         help="run through the distributed sweep service with N "
         "subprocess workers leasing planned position lists from a "
-        "coordinator (see 'sweep-serve'); stdout stays byte-identical "
-        "to the serial run",
+        "coordinator; stdout stays byte-identical to the serial run",
     )
     parser.add_argument(
         "--lease-size",
@@ -114,6 +122,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="N",
         help="units per service lease (requires --workers; default: "
         "cost-weighted planner sizing)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="seconds a service lease may run before its worker is "
+        "declared failed and its range is re-leased (requires "
+        "--workers; default 300)",
+    )
+    parser.add_argument(
+        "--chaos-kill-after",
+        type=int,
+        default=None,
+        metavar="K",
+        help="fault-injection testing hook (requires --workers): the "
+        "first worker exits abruptly after its K-th result, exercising "
+        "lease retry",
     )
     parser.add_argument(
         "--cycles",
@@ -164,16 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "extra",
     )
     parser.add_argument(
-        "--pack",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pack shape-heterogeneous batch-kernel units into padded "
-        "super-fleets, one vectorized call per arbitration/window/"
-        "backend combination (default on; bytes are identical either "
-        "way, packing only changes wall clock); --no-pack restores "
-        "one fleet per shape for A/B timing",
-    )
-    parser.add_argument(
         "--chart",
         action="store_true",
         help="after the unit lines, draw the p50/p90/p99 total-latency "
@@ -213,15 +229,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--jobs and --workers conflict: --workers delegates "
                 "parallelism to the sweep service's worker fleet"
             )
-    if args.lease_size is not None:
+    for flag, value in (
+        ("--lease-size", args.lease_size),
+        ("--deadline", args.deadline),
+        ("--chaos-kill-after", args.chaos_kill_after),
+    ):
+        if value is None:
+            continue
         if args.workers is None:
-            parser.error("--lease-size requires --workers")
-        if args.lease_size < 1:
-            parser.error("--lease-size must be a positive integer")
-    if not args.pack and args.workers is not None:
-        # The sweep service's planner already groups leases by pack
-        # key; an unpacked service run would misreport what executed.
-        parser.error("--no-pack requires the serial path (no --workers)")
+            parser.error(f"{flag} requires --workers")
+        # NaN compares false both ways: without isfinite a NaN deadline
+        # would pass and silently disable lease expiry.
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"{flag} must be positive and finite, got {value:g}")
     if args.fast and args.kernel == "batch":
         # fast and batch produce deliberately different bytes, so a
         # silent precedence pick would hand back the wrong tier.
@@ -275,7 +295,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # shared store, then leasing planned position lists to
             # subprocess workers.  Byte-identical to the serial path
             # below, property- and golden-tested.
-            from repro.service.coordinator import run_service
+            from repro.service.coordinator import DEFAULT_DEADLINE, run_service
 
             results = run_service(
                 spec,
@@ -284,14 +304,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 backend=args.backend,
                 shard=shard,
                 lease_size=args.lease_size,
+                deadline=(
+                    DEFAULT_DEADLINE if args.deadline is None else args.deadline
+                ),
                 cache_enabled=args.cache,
                 cache_dir=args.cache_dir,
+                chaos_kill_after=args.chaos_kill_after,
                 telemetry=telemetry,
             )
         else:
-            results = run_units(
-                units, jobs=args.jobs, cache=cache, pack=args.pack
-            )
+            results = run_units(units, jobs=args.jobs, cache=cache)
     except ReproError as exc:
         # Covers simulation and model failures too - any library error
         # surfaces as the CLI's curated one-line diagnostic.

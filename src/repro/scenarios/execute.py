@@ -63,9 +63,7 @@ def evaluate_unit(unit: WorkUnit) -> dict[str, Any]:
     return get_evaluator(unit.method).evaluate(unit.request()).payload()
 
 
-def evaluate_fleet(
-    units: Sequence[WorkUnit], pack: bool = True
-) -> list[dict[str, Any]]:
+def evaluate_fleet(units: Sequence[WorkUnit]) -> list[dict[str, Any]]:
     """Evaluate batch-kernel simulation units as one lockstep fleet.
 
     The fleet-aggregation fast path of :func:`run_units`: instead of
@@ -74,12 +72,10 @@ def evaluate_fleet(
     Fleet rows are independent, so each unit's payload is byte-identical
     to the payload :func:`evaluate_unit` would produce for it alone
     (property-tested); the aggregation is purely a wall-clock lever.
-    ``pack`` selects shape-packed super-fleets versus homogeneous
-    grouping inside the call - identical bytes either way.
     """
     from repro.parallel.fleet import run_fleet
 
-    results = run_fleet([unit.case() for unit in units], pack=pack)
+    results = run_fleet([unit.case() for unit in units])
     return [
         EvalResult(
             ebw=result.ebw,
@@ -100,8 +96,7 @@ def _evaluate_task(task) -> list[dict[str, Any]]:
     kind, payload = task
     if kind == "unit":
         return [evaluate_unit(payload)]
-    fleet_units, pack = payload
-    return evaluate_fleet(fleet_units, pack=pack)
+    return evaluate_fleet(payload)
 
 
 def _batchable(unit: WorkUnit) -> bool:
@@ -120,30 +115,25 @@ def _batchable(unit: WorkUnit) -> bool:
 
 def _evaluation_tasks(
     units: Sequence[WorkUnit],
-    pack: bool = True,
 ) -> tuple[list[tuple], list[list[int]]]:
     """Group units into pool tasks, fleets first-appearance ordered.
 
-    Batch-kernel simulation units sharing a grouping key travel as one
-    ``("fleet", ((...units...), pack))`` task; everything else stays a
-    ``("unit", unit)`` task.  ``pack=True`` (the default) keys fleets
-    on :func:`repro.parallel.fleet.pack_key`, so shape-heterogeneous
-    sweeps land in one padded super-fleet per batch call;
-    ``pack=False`` keeps the homogeneous
-    :func:`~repro.parallel.fleet.fleet_key` grouping.  Returns the
-    tasks plus, aligned with them, each task's member positions in
-    ``units``.  The grouping is a deterministic function of the unit
-    list, and - because fleet rows are independent - it can never
-    change any unit's bytes.
+    Batch-kernel simulation units sharing a
+    :func:`repro.parallel.fleet.pack_key` travel as one
+    ``("fleet", (...units...))`` task, so shape-heterogeneous sweeps
+    land in one padded super-fleet per batch call; everything else
+    stays a ``("unit", unit)`` task.  Returns the tasks plus, aligned
+    with them, each task's member positions in ``units``.  The grouping
+    is a deterministic function of the unit list, and - because fleet
+    rows are independent - it can never change any unit's bytes.
     """
-    from repro.parallel.fleet import fleet_key, pack_key
+    from repro.parallel.fleet import pack_key
 
-    grouping_key = pack_key if pack else fleet_key
     fleets: dict[tuple, list[int]] = {}
     order: list[tuple[str, Any]] = []
     for position, unit in enumerate(units):
         if _batchable(unit):
-            key = grouping_key(unit.case())
+            key = pack_key(unit.case())
             if key not in fleets:
                 fleets[key] = []
                 order.append(("fleet", key))
@@ -158,9 +148,7 @@ def _evaluation_tasks(
             groups.append([content])
         else:
             members = fleets[content]
-            tasks.append(
-                ("fleet", (tuple(units[i] for i in members), pack))
-            )
+            tasks.append(("fleet", tuple(units[i] for i in members)))
             groups.append(members)
     return tasks, groups
 
@@ -206,17 +194,15 @@ def run_units(
     units: Sequence[WorkUnit],
     jobs: int | None = 1,
     cache=None,
-    pack: bool = True,
 ) -> list[UnitResult]:
     """Execute ``units`` in order, via pool and cache when available.
 
     The returned list preserves input order, and its values are
-    independent of ``jobs``, cache state and ``pack`` - these levers
-    change wall-clock time, never bytes.  Units whose content-addressed
+    independent of ``jobs`` and cache state - these levers change
+    wall-clock time, never bytes.  Units whose content-addressed
     payloads coincide (e.g. analytic-method replications, whose keys
-    ignore the seed) are computed once and fanned out.  ``pack``
-    selects shape-packed super-fleets for batch-kernel units (the
-    default) versus one fleet per homogeneous shape.
+    ignore the seed) are computed once and fanned out.  Batch-kernel
+    units run as shape-packed super-fleets.
     """
     from repro.parallel.cache import unit_keys
 
@@ -250,7 +236,7 @@ def run_units(
         # vectorized call per fleet) while everything else dispatches
         # per unit; both travel through the same ordered pool map.
         tasks, groups = _evaluation_tasks(
-            [units[position] for position in representatives], pack=pack
+            [units[position] for position in representatives]
         )
         computed_lists = map_ordered(_evaluate_task, tasks, max_workers=jobs)
         metrics_by_key: dict[str, Any] = {}
@@ -278,7 +264,6 @@ def run_scenario(
     cache=None,
     kernel: str = "reference",
     backend: str = "numpy",
-    pack: bool = True,
 ) -> list[UnitResult]:
     """Compile ``spec``, optionally take one shard, and execute it.
 
@@ -290,15 +275,13 @@ def run_scenario(
     exact kernels' - never mix batch and exact shards of one sweep.
     ``backend`` selects the batch kernel's array substrate
     (:mod:`repro.bus.backends`); the numpy/numba pair is bit-identical,
-    so that choice too changes wall-clock only.  ``pack`` toggles
-    shape-packed super-fleets for batch units (on by default; also a
-    pure wall-clock lever).
+    so that choice too changes wall-clock only.
     """
     units = compile_scenario(spec, kernel=kernel, backend=backend)
     if shard is not None:
         shard_index, shard_count = shard
         units = shard_units(units, shard_index, shard_count)
-    return run_units(units, jobs=jobs, cache=cache, pack=pack)
+    return run_units(units, jobs=jobs, cache=cache)
 
 
 # ----------------------------------------------------------------------

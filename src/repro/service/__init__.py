@@ -14,8 +14,9 @@ multi-worker *service*:
 * :mod:`repro.service.coordinator` - compile once, lease contiguous
   unit ranges, track deadlines, retry failed/straggling workers, and
   merge results byte-identical to a serial run;
-* :mod:`repro.service.cli` - the ``sweep-serve`` / ``sweep-work``
-  subcommands and the machinery behind ``scenario --workers N``.
+* :mod:`repro.service.cli` - the ``sweep-work`` subcommand each
+  spawned worker runs; the coordinator side is ``scenario --workers N``
+  (:mod:`repro.scenarios.cli`).
 
 All workers share one concurrent :class:`repro.parallel.cache.ResultCache`
 store (sharded content-addressed layout, crash-safe writes), so a fleet

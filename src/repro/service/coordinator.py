@@ -38,6 +38,7 @@ through the lease protocol (:mod:`repro.service.protocol`):
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -121,6 +122,13 @@ class Coordinator:
         if lease_size is not None and lease_size < 1:
             raise ExperimentError(
                 f"lease size must be >= 1, got {lease_size}"
+            )
+        if not (math.isfinite(deadline) and deadline > 0):
+            # NaN would compare false against every elapsed time and
+            # silently disable lease expiry.
+            raise ExperimentError(
+                f"deadline must be a positive finite number of seconds, "
+                f"got {deadline}"
             )
         self.lease_size = lease_size
         self._clock = clock
@@ -429,7 +437,7 @@ def run_service(
     """Run ``spec`` under the coordinator with local subprocess workers.
 
     The one-call service entry point behind ``repro-experiments
-    sweep-serve`` and ``scenario --workers N``.  ``chaos_kill_after``
+    scenario --workers N``.  ``chaos_kill_after``
     is the fault-injection hook for tests and the CI smoke job: the
     first worker is spawned with ``--exit-after`` so it dies abruptly
     mid-lease, exercising the retry path on a real subprocess fleet.

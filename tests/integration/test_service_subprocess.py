@@ -1,10 +1,10 @@
 """End-to-end tests for the distributed sweep service.
 
-These drive the real ``repro-experiments`` CLI with real subprocess
-workers over stdio pipes - the exact production configuration - and
-byte-compare against the serial path.  One test kills a worker
-mid-lease with the built-in chaos hook to prove retries preserve the
-bytes.
+These drive the real ``repro-experiments scenario --workers`` CLI with
+real subprocess workers over stdio pipes - the exact production
+configuration - and byte-compare against the serial path.  One test
+kills a worker mid-lease with the built-in chaos hook to prove retries
+preserve the bytes.
 """
 
 from __future__ import annotations
@@ -52,19 +52,19 @@ def _run_cli(*argv: str, cache_dir=None) -> subprocess.CompletedProcess:
     return process
 
 
-class TestSweepServe:
-    def test_served_stdout_is_byte_identical_to_serial(self, spec_file):
+class TestScenarioWorkersFlag:
+    def test_workers_flag_matches_serial_bytes(self, spec_file):
         serial = _run_cli("scenario", spec_file, "--no-cache")
         served = _run_cli(
-            "sweep-serve", spec_file, "--workers", "3", "--no-cache"
+            "scenario", spec_file, "--workers", "3", "--no-cache"
         )
         assert served.stdout == serial.stdout
-        assert "[sweep-serve service-e2e:" in served.stderr
+        assert "[scenario service-e2e: 6 units]" in served.stderr
 
     def test_chaos_killed_worker_does_not_change_the_bytes(self, spec_file):
         serial = _run_cli("scenario", spec_file, "--no-cache")
         served = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "3",
@@ -81,10 +81,10 @@ class TestSweepServe:
         every unit from cache, and the store has no litter."""
         store = tmp_path / "store"
         cold = _run_cli(
-            "sweep-serve", spec_file, "--workers", "2", cache_dir=store
+            "scenario", spec_file, "--workers", "2", cache_dir=store
         )
         warm = _run_cli(
-            "sweep-serve", spec_file, "--workers", "2", cache_dir=store
+            "scenario", spec_file, "--workers", "2", cache_dir=store
         )
         assert warm.stdout == cold.stdout
         assert "6 from cache" in warm.stderr
@@ -95,11 +95,11 @@ class TestSweepServe:
     def test_cache_stats_reports_probe_and_dispatch(
         self, spec_file, tmp_path
     ):
-        """A warm ``sweep-serve --cache-stats`` run shows every unit
-        resolved by the pre-lease probe and nothing dispatched."""
+        """A warm ``scenario --workers --cache-stats`` run shows every
+        unit resolved by the pre-lease probe and nothing dispatched."""
         store = tmp_path / "store"
         cold = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "2",
@@ -108,7 +108,7 @@ class TestSweepServe:
         )
         assert "[cache-stats probe_hits=0 dispatched=6" in cold.stderr
         warm = _run_cli(
-            "sweep-serve",
+            "scenario",
             spec_file,
             "--workers",
             "2",
@@ -117,15 +117,6 @@ class TestSweepServe:
         )
         assert warm.stdout == cold.stdout
         assert "[cache-stats probe_hits=6 dispatched=0" in warm.stderr
-
-
-class TestScenarioWorkersFlag:
-    def test_workers_flag_matches_serial_bytes(self, spec_file):
-        serial = _run_cli("scenario", spec_file, "--no-cache")
-        served = _run_cli(
-            "scenario", spec_file, "--workers", "3", "--no-cache"
-        )
-        assert served.stdout == serial.stdout
 
     def test_workers_flag_composes_with_shard(self, spec_file):
         serial = _run_cli(

@@ -27,8 +27,9 @@ row) on the numpy and numba backends and assert exact equality of
   wherever both kernels hold the stream.
 
 The layer above is covered too: :func:`repro.parallel.fleet.run_fleet`
-with ``pack=True``/``pack=False`` and the scenario executor's packed
-task grouping must produce identical bytes.
+and the scenario executor's packed task grouping must produce the bytes
+of each homogeneous :func:`~repro.parallel.fleet.group_fleets` group run
+alone through ``run_fleet`` - one kernel call per shape.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.bus.backends import (  # noqa: E402
 from repro.bus.batch import BatchBusKernel, fleet_shape  # noqa: E402
 from repro.core.config import SystemConfig  # noqa: E402
 from repro.core.policy import Priority, TieBreak  # noqa: E402
-from repro.parallel.fleet import run_fleet  # noqa: E402
+from repro.parallel.fleet import group_fleets, run_fleet  # noqa: E402
 from repro.parallel.workers import SimulationCase  # noqa: E402
 from repro.workloads.spec import (  # noqa: E402
     HotSpotWorkload,
@@ -386,17 +387,27 @@ class TestFleetLayerPacking:
                     )
         return cases
 
-    def test_run_fleet_pack_toggle_changes_no_bytes(self):
+    def test_run_fleet_packing_changes_no_bytes(self):
         cases = self._fragmented_cases()
-        packed = run_fleet(cases, pack=True)
-        unpacked = run_fleet(cases, pack=False)
+        packed = run_fleet(cases)
+        unpacked = [None] * len(cases)
+        for group in group_fleets(cases):
+            for position, result in zip(
+                group, run_fleet([cases[position] for position in group])
+            ):
+                unpacked[position] = result
         for row_packed, row_unpacked in zip(packed, unpacked):
             assert result_key(row_packed) == result_key(row_unpacked)
             assert latency_key(row_packed) == latency_key(row_unpacked)
 
     def test_packed_scenario_units_are_byte_identical(self):
         from repro.scenarios.compiler import compile_scenario
-        from repro.scenarios.execute import render_report, run_units
+        from repro.scenarios.execute import (
+            evaluate_fleet,
+            render_report,
+            result_from_metrics,
+            run_units,
+        )
         from repro.scenarios.spec import (
             GridAxis,
             ReplicationPlan,
@@ -416,9 +427,15 @@ class TestFleetLayerPacking:
             metrics=("latency",),
         )
         units = compile_scenario(spec, kernel="batch")
-        packed = render_report(run_units(units, pack=True))
-        unpacked = render_report(run_units(units, pack=False))
-        assert packed == unpacked
+        packed = render_report(run_units(units))
+        unpacked = [None] * len(units)
+        for group in group_fleets([unit.case() for unit in units]):
+            members = [units[position] for position in group]
+            for position, metrics in zip(group, evaluate_fleet(members)):
+                unpacked[position] = result_from_metrics(
+                    units[position], metrics, False
+                )
+        assert packed == render_report(unpacked)
 
     def test_packing_coarsens_kernel_call_count(self):
         """The wall-clock lever itself: the fragmented sweep above is

@@ -3,8 +3,8 @@
 The central promise of :mod:`repro.parallel` is that fanning work out
 over processes changes wall-clock time and nothing else.  These tests
 state that as properties over randomly drawn configurations and seed
-sets: serial :func:`repro.des.replications.replicate` and
-:class:`repro.parallel.ParallelReplicator` must return identical
+sets: serial :func:`repro.des.replications.replicate` and its pooled
+``max_workers=N`` form must return identical
 estimates, seeds and confidence-interval half widths, and parallel
 sweeps must trace identical curves.
 """
@@ -26,7 +26,7 @@ from repro.des.replications import (
     replicate,
     replicate_latency,
 )
-from repro.parallel import EbwTask, LatencyTask, ParallelReplicator
+from repro.parallel import EbwTask, LatencyTask
 from repro.workloads.spec import HotSpotWorkload, TraceWorkload
 
 CYCLES = 400
@@ -55,8 +55,8 @@ class TestReplicationEquivalence:
     ):
         estimator = ebw_estimator(config, cycles=CYCLES)
         serial = replicate(estimator, replications, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run(
-            estimator, replications, base_seed=base_seed
+        parallel = replicate(
+            estimator, replications, base_seed=base_seed, max_workers=2
         )
         assert parallel.estimates == serial.estimates
         assert parallel.seeds == serial.seeds
@@ -69,8 +69,8 @@ class TestReplicationEquivalence:
     def test_worker_count_is_invisible(self, config, base_seed):
         estimator = ebw_estimator(config, cycles=CYCLES)
         results = [
-            ParallelReplicator(max_workers=workers).run(
-                estimator, 3, base_seed=base_seed
+            replicate(
+                estimator, 3, base_seed=base_seed, max_workers=workers
             )
             for workers in (1, 2, 3)
         ]
@@ -78,7 +78,7 @@ class TestReplicationEquivalence:
 
 
 class TestWorkloadReplicationEquivalence:
-    """Hot-spot and trace workloads dispatched through the replicator.
+    """Hot-spot and trace workloads dispatched through the pool.
 
     Same contract as the uniform-workload properties above: fanning the
     replications over worker processes must be invisible in the result.
@@ -99,8 +99,8 @@ class TestWorkloadReplicationEquivalence:
             workload=HotSpotWorkload(hot_fraction=hot_fraction),
         )
         serial = replicate(estimator, 3, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run(
-            estimator, 3, base_seed=base_seed
+        parallel = replicate(
+            estimator, 3, base_seed=base_seed, max_workers=2
         )
         assert parallel.estimates == serial.estimates
         assert parallel.seeds == serial.seeds
@@ -131,8 +131,8 @@ class TestWorkloadReplicationEquivalence:
             config=config, cycles=CYCLES, workload=TraceWorkload(traces)
         )
         serial = replicate(estimator, 3, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=3).run(
-            estimator, 3, base_seed=base_seed
+        parallel = replicate(
+            estimator, 3, base_seed=base_seed, max_workers=3
         )
         assert parallel.estimates == serial.estimates
         assert parallel.seeds == serial.seeds
@@ -143,8 +143,8 @@ class TestWorkloadReplicationEquivalence:
             config=config, cycles=CYCLES, workload=HotSpotWorkload(0.4)
         )
         results = [
-            ParallelReplicator(max_workers=workers).run(
-                estimator, 3, base_seed=17
+            replicate(
+                estimator, 3, base_seed=17, max_workers=workers
             )
             for workers in (1, 2, 3)
         ]
@@ -171,8 +171,8 @@ class TestLatencyReplicationEquivalence:
     ):
         estimator = latency_estimator(config, cycles=CYCLES)
         serial = replicate_latency(estimator, replications, base_seed=base_seed)
-        parallel = ParallelReplicator(max_workers=2).run_latency(
-            estimator, replications, base_seed=base_seed
+        parallel = replicate_latency(
+            estimator, replications, base_seed=base_seed, max_workers=2
         )
         assert parallel == serial
         assert parallel.merged == serial.merged
@@ -195,8 +195,8 @@ class TestLatencyReplicationEquivalence:
             workload=HotSpotWorkload(hot_fraction=hot_fraction),
         )
         results = [
-            ParallelReplicator(max_workers=workers).run_latency(
-                estimator, 3, base_seed=base_seed
+            replicate_latency(
+                estimator, 3, base_seed=base_seed, max_workers=workers
             )
             for workers in (1, 2, 3)
         ]

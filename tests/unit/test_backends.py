@@ -314,14 +314,17 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["scenario", "sweep-serve"])
-    def test_cupy_is_not_a_backend_choice(self, capsys, command):
+    @pytest.mark.parametrize(
+        "extra", [[], ["--workers", "2"]], ids=["scenario", "workers"]
+    )
+    def test_cupy_is_not_a_backend_choice(self, capsys, extra):
         from repro.experiments.runner import main
 
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
-                    command,
+                    "scenario",
+                    *extra,
                     "figure2",
                     "--kernel",
                     "batch",

@@ -117,6 +117,63 @@ class TestMainFlags:
         jobs_out = capsys.readouterr().out
         assert jobs_out == serial_out
 
+    def test_pooled_experiments_byte_identical_output(self, capsys):
+        """Several uncached experiments with --jobs go through the
+        pool (one experiment per worker) and print the serial bytes."""
+        ids = ["table1", "table2", "table3b"]
+        assert main([*ids, "--no-cache"]) == 0
+        serial_out = capsys.readouterr().out
+        assert main([*ids, "--jobs", "2", "--no-cache"]) == 0
+        assert capsys.readouterr().out == serial_out
+
+    def test_broken_pool_finishes_experiments_in_process(
+        self, capsys, monkeypatch
+    ):
+        import repro.parallel.pool as pool_module
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores in this sandbox")
+
+        ids = ["table1", "table2", "table3b"]
+        assert main([*ids, "--no-cache"]) == 0
+        serial_out = capsys.readouterr().out
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+            assert main([*ids, "--jobs", "2", "--no-cache"]) == 0
+        assert capsys.readouterr().out == serial_out
+
+    def test_importing_the_runner_loads_no_pool_numpy_or_service(self):
+        """The CLI entry point stays cheap to start: process pools,
+        numpy and the sweep service load only when a run needs them."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        code = (
+            "import sys\n"
+            "import repro.experiments.runner\n"
+            "print(sorted(name for name in "
+            "('concurrent.futures', 'numpy', 'repro.service') "
+            "if name in sys.modules))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        out = completed.stdout
+        assert out.strip() == "[]"
+
     def test_cache_dir_flag(self, capsys, tmp_path):
         target = tmp_path / "explicit"
         assert main(["table1", "--cache-dir", str(target)]) == 0

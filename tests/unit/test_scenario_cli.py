@@ -286,22 +286,34 @@ class TestBatchKernelCli:
             shard_outputs.append(capsys.readouterr().out)
         assert merge_reports(shard_outputs) + "\n" == unsharded
 
-    def test_pack_and_no_pack_are_byte_identical(self, tiny_toml, capsys):
+    def test_packed_output_matches_per_shape_fleets(self, tiny_toml, capsys):
         """Packing coarsens fleet grouping only; the unit lines - the
-        scenario's whole byte surface - must not move."""
+        scenario's whole byte surface - equal those of each homogeneous
+        ``group_fleets`` group run alone through ``run_fleet``."""
         pytest.importorskip("numpy")
+        from repro.parallel.fleet import group_fleets
+        from repro.scenarios.compiler import compile_scenario
+        from repro.scenarios.execute import (
+            evaluate_fleet,
+            render_report,
+            result_from_metrics,
+        )
+        from repro.scenarios.registry import load_scenario
+
         assert main(["scenario", tiny_toml, "--kernel", "batch",
                      "--no-cache"]) == 0
         packed = capsys.readouterr().out
-        assert main(["scenario", tiny_toml, "--kernel", "batch",
-                     "--no-cache", "--no-pack"]) == 0
-        unpacked = capsys.readouterr().out
-        assert packed == unpacked
-
-    def test_no_pack_conflicts_with_workers(self, tiny_toml, capsys):
-        with pytest.raises(SystemExit):
-            main(["scenario", tiny_toml, "--no-pack", "--workers", "2"])
-        assert "serial path" in capsys.readouterr().err
+        units = compile_scenario(load_scenario(tiny_toml), kernel="batch")
+        groups = group_fleets([unit.case() for unit in units])
+        assert len(groups) > 1
+        unpacked = [None] * len(units)
+        for group in groups:
+            members = [units[position] for position in group]
+            for position, metrics in zip(group, evaluate_fleet(members)):
+                unpacked[position] = result_from_metrics(
+                    units[position], metrics, False
+                )
+        assert packed == render_report(unpacked) + "\n"
 
     def test_batch_kernel_renders_latency_percentiles(
         self, tiny_toml, capsys

@@ -162,6 +162,19 @@ class TestCoordinator:
         with pytest.raises(ExperimentError, match="at least one worker"):
             Coordinator(tiny_spec(), [])
 
+    @pytest.mark.parametrize(
+        "deadline", [-5.0, 0.0, float("nan"), float("inf")]
+    )
+    def test_rejects_a_deadline_that_is_not_positive_and_finite(
+        self, deadline
+    ):
+        # A negative deadline would retire every worker before its
+        # handshake; NaN would silently disable lease expiry.
+        with pytest.raises(ExperimentError, match="deadline"):
+            Coordinator(
+                tiny_spec(), [LoopbackTransport("a")], deadline=deadline
+            )
+
     def test_unit_count_mismatch_is_version_skew(self):
         spec = tiny_spec()
         wrong = len(compile_scenario(spec)) + 5
@@ -272,23 +285,11 @@ class TestCoordinator:
 
 
 class TestServiceCli:
-    def test_sweep_serve_rejects_bad_workers(self, capsys):
-        from repro.service.cli import serve_main
+    def test_scenario_workers_rejects_backend_without_batch(self, capsys):
+        from repro.scenarios.cli import main as scenario_main
 
         with pytest.raises(SystemExit):
-            serve_main(["figure2", "--workers", "0"])
-
-    def test_sweep_serve_rejects_backend_without_batch(self, capsys):
-        from repro.service.cli import serve_main
-
-        with pytest.raises(SystemExit):
-            serve_main(["figure2", "--backend", "numba"])
-
-    def test_sweep_serve_rejects_bad_lease_size(self, capsys):
-        from repro.service.cli import serve_main
-
-        with pytest.raises(SystemExit):
-            serve_main(["figure2", "--lease-size", "0"])
+            scenario_main(["figure2", "--workers", "2", "--backend", "numba"])
 
     def test_sweep_work_rejects_bad_exit_after(self, capsys):
         from repro.service.cli import work_main
@@ -296,11 +297,46 @@ class TestServiceCli:
         with pytest.raises(SystemExit):
             work_main(["--exit-after", "0"])
 
-    def test_sweep_serve_unknown_scenario_is_error(self, capsys):
-        from repro.service.cli import serve_main
+    def test_scenario_workers_unknown_scenario_is_error(self, capsys):
+        from repro.scenarios.cli import main as scenario_main
 
-        assert serve_main(["no-such-scenario", "--workers", "1"]) == 2
+        assert scenario_main(["no-such-scenario", "--workers", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--deadline", "-5"],
+            ["--deadline", "0"],
+            ["--deadline", "nan"],
+            ["--deadline", "inf"],
+            ["--chaos-kill-after", "0"],
+        ],
+        ids=[
+            "deadline-negative",
+            "deadline-zero",
+            "deadline-nan",
+            "deadline-inf",
+            "chaos-kill-after-zero",
+        ],
+    )
+    def test_scenario_rejects_bad_service_values(self, capsys, argv):
+        from repro.scenarios.cli import main as scenario_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            scenario_main(["figure2", "--workers", "1", "--no-cache", *argv])
+        assert excinfo.value.code == 2
+        assert f"{argv[0]} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--deadline", "30"], ["--chaos-kill-after", "1"]]
+    )
+    def test_scenario_service_flags_require_workers(self, capsys, argv):
+        from repro.scenarios.cli import main as scenario_main
+
+        with pytest.raises(SystemExit):
+            scenario_main(["figure2", *argv])
+        assert f"{argv[0]} requires --workers" in capsys.readouterr().err
 
     def test_scenario_rejects_jobs_with_workers(self, capsys):
         from repro.scenarios.cli import main as scenario_main
