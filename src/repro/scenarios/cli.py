@@ -18,7 +18,8 @@ to stderr so stdout stays mergeable and reproducible.
 
 ``--workers N`` runs the same units through the distributed sweep
 service (:func:`repro.service.coordinator.run_service`) with ``N``
-subprocess workers; ``--lease-size``, ``--deadline`` and
+local workers, forked from this process when that is safe and spawned
+otherwise; ``--lease-size``, ``--deadline`` and
 ``--chaos-kill-after`` tune that path and require it.  The bytes match
 the serial run whatever the worker count, lease carving or crash
 history.
@@ -111,9 +112,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="run through the distributed sweep service with N "
-        "subprocess workers leasing planned position lists from a "
-        "coordinator; stdout stays byte-identical to the serial run",
+        help="run through the distributed sweep service with N local "
+        "workers (forked when safe, spawned otherwise) leasing planned "
+        "position lists from a coordinator; stdout stays byte-identical "
+        "to the serial run",
     )
     parser.add_argument(
         "--lease-size",
@@ -293,7 +295,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.workers is not None:
             # The distributed sweep service: a coordinator probing the
             # shared store, then leasing planned position lists to
-            # subprocess workers.  Byte-identical to the serial path
+            # local workers.  Byte-identical to the serial path
             # below, property- and golden-tested.
             from repro.service.coordinator import DEFAULT_DEADLINE, run_service
 

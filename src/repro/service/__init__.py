@@ -8,14 +8,15 @@ multi-worker *service*:
   protocol (newline-delimited JSON messages);
 * :mod:`repro.service.worker` - the worker-side protocol machine and
   the stdio server behind ``repro-experiments sweep-work``;
-* :mod:`repro.service.transports` - how messages move: a local
-  subprocess transport (stdio pipes) and an in-process loopback
-  transport for deterministic tests;
+* :mod:`repro.service.transports` - how messages move: local workers
+  forked from the coordinator (pipes) when that is safe, spawned
+  ``sweep-work`` subprocesses (stdio pipes) otherwise, and an
+  in-process loopback transport for deterministic tests;
 * :mod:`repro.service.coordinator` - compile once, lease contiguous
   unit ranges, track deadlines, retry failed/straggling workers, and
   merge results byte-identical to a serial run;
-* :mod:`repro.service.cli` - the ``sweep-work`` subcommand each
-  spawned worker runs; the coordinator side is ``scenario --workers N``
+* :mod:`repro.service.cli` - the ``sweep-work`` subcommand a spawned
+  or remote worker runs; the coordinator side is ``scenario --workers N``
   (:mod:`repro.scenarios.cli`).
 
 All workers share one concurrent :class:`repro.parallel.cache.ResultCache`
@@ -25,6 +26,7 @@ deduplicates work across workers, runs and machines.
 
 from repro.service.coordinator import Coordinator, run_service
 from repro.service.transports import (
+    ForkTransport,
     LoopbackTransport,
     SubprocessTransport,
     WorkerTransport,
@@ -37,6 +39,7 @@ __all__ = [
     "WorkerSession",
     "serve_stdio",
     "WorkerTransport",
+    "ForkTransport",
     "SubprocessTransport",
     "LoopbackTransport",
 ]

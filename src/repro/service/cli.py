@@ -3,8 +3,8 @@
 Usage::
 
     # A worker endpoint speaking the lease protocol on stdio (spawned
-    # by ``scenario --workers N``; also usable behind ssh or a batch
-    # queue):
+    # by ``scenario --workers N`` where it cannot fork its workers;
+    # also usable behind ssh or a batch queue):
     repro-experiments sweep-work
 
 The coordinator side is ``repro-experiments scenario <name> --workers
@@ -24,9 +24,9 @@ def work_main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments sweep-work",
         description="Serve one sweep worker over the lease protocol on "
-        "stdin/stdout (newline-delimited JSON).  Normally spawned by "
-        "'scenario --workers N'; run it behind ssh or a batch queue for "
-        "remote fleets.",
+        "stdin/stdout (newline-delimited JSON).  'scenario --workers N' "
+        "spawns it where it cannot fork its workers; run it behind ssh "
+        "or a batch queue for remote fleets.",
     )
     parser.add_argument(
         "--exit-after",

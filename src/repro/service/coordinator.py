@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import sys
+import threading
 import time
 from typing import Any, Callable, Sequence
 
@@ -420,6 +422,24 @@ class Coordinator:
         return []
 
 
+def _can_fork() -> bool:
+    """Whether local workers may be forked from this process.
+
+    Forking copies only the calling thread, so any other live thread
+    (a reader thread, a pool, an embedding application's) could leave
+    a lock held forever in the child.  numba's thread pool is native,
+    invisible to :mod:`threading`, so its launch flag is read instead.
+    Only Linux forks: other platforms' system libraries are not
+    fork-safe after import.
+    """
+    if not (hasattr(os, "fork") and sys.platform.startswith("linux")):
+        return False
+    if threading.active_count() != 1:
+        return False
+    numba_pool = sys.modules.get("numba.np.ufunc.parallel")
+    return not getattr(numba_pool, "_is_initialized", False)
+
+
 def run_service(
     spec: ScenarioSpec,
     workers: int = 2,
@@ -434,20 +454,29 @@ def run_service(
     chaos_kill_after: int | None = None,
     telemetry: dict | None = None,
 ) -> list[UnitResult]:
-    """Run ``spec`` under the coordinator with local subprocess workers.
+    """Run ``spec`` under the coordinator with ``workers`` local workers.
 
     The one-call service entry point behind ``repro-experiments
-    scenario --workers N``.  ``chaos_kill_after``
-    is the fault-injection hook for tests and the CI smoke job: the
-    first worker is spawned with ``--exit-after`` so it dies abruptly
-    mid-lease, exercising the retry path on a real subprocess fleet.
-    ``telemetry``, when given, is filled in place with the run's
-    planning counters (units, dispatched, probe hits, the probe
-    cache's :class:`~repro.parallel.cache.CacheStats`, lease counts)
-    for CLI reporting.
+    scenario --workers N``.  Workers are forked from this process
+    (:class:`~repro.service.transports.ForkTransport`) when
+    :func:`_can_fork` holds, which skips a fresh interpreter and a full
+    re-import per worker; otherwise each is a spawned ``sweep-work``
+    subprocess (:class:`~repro.service.transports.SubprocessTransport`).
+    Both carry the same protocol, so the bytes never depend on which.
+    ``chaos_kill_after`` is the fault-injection hook for tests and the
+    CI smoke job: the first worker runs with ``--exit-after`` so it
+    dies abruptly mid-lease, exercising the retry path on a real
+    process fleet.  ``telemetry``, when given, is filled in place with
+    the run's planning counters (units, dispatched, probe hits, the
+    probe cache's :class:`~repro.parallel.cache.CacheStats`, lease
+    counts) for CLI reporting.
     """
     from repro.parallel.cache import reset_code_version_tag
-    from repro.service.transports import SubprocessTransport, sweep_work_argv
+    from repro.service.transports import (
+        ForkTransport,
+        SubprocessTransport,
+        sweep_work_argv,
+    )
 
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
@@ -455,27 +484,40 @@ def run_service(
     # process); never let it stamp a version tag memoized before the
     # sources last changed.
     reset_code_version_tag()
-    transports = [
-        SubprocessTransport(
-            sweep_work_argv(
-                exit_after=chaos_kill_after if index == 0 else None
-            ),
-            name=f"worker-{index}",
+    fork = _can_fork()
+    transports: list[WorkerTransport] = []
+    try:
+        # Workers start before the coordinator compiles and probes, so
+        # no store handle is open across a fork.
+        for index in range(workers):
+            exit_after = chaos_kill_after if index == 0 else None
+            name = f"worker-{index}"
+            if fork:
+                transport = ForkTransport(name=name, exit_after=exit_after)
+            else:
+                transport = SubprocessTransport(
+                    sweep_work_argv(exit_after=exit_after),
+                    name=name,
+                )
+            transports.append(transport)
+        coordinator = Coordinator(
+            spec,
+            transports,
+            kernel=kernel,
+            backend=backend,
+            shard=shard,
+            lease_size=lease_size,
+            plan_mode=plan_mode,
+            deadline=deadline,
+            cache_enabled=cache_enabled,
+            cache_dir=cache_dir,
         )
-        for index in range(workers)
-    ]
-    coordinator = Coordinator(
-        spec,
-        transports,
-        kernel=kernel,
-        backend=backend,
-        shard=shard,
-        lease_size=lease_size,
-        plan_mode=plan_mode,
-        deadline=deadline,
-        cache_enabled=cache_enabled,
-        cache_dir=cache_dir,
-    )
+    except BaseException:
+        # The coordinator's run() owns shutdown; before it exists, the
+        # workers started so far must not outlive a failed set-up.
+        for transport in transports:
+            transport.close()
+        raise
     results = coordinator.run()
     if telemetry is not None:
         telemetry.update(

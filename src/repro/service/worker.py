@@ -3,10 +3,10 @@
 :class:`WorkerSession` is the transport-agnostic protocol machine: feed
 it decoded messages, and it emits replies through the ``send`` callable
 it was constructed with.  :func:`serve_stdio` wires a session to
-stdin/stdout as newline-delimited JSON - the form ``repro-experiments
-sweep-work`` runs, whether spawned by the local subprocess transport or
-remotely (``ssh host repro-experiments sweep-work`` works unchanged,
-which is what keeps the lease protocol transport-agnostic).
+stdin/stdout as newline-delimited JSON.  It is what ``repro-experiments
+sweep-work`` runs, and what a local worker forked by the coordinator
+runs on its pipes; ``ssh host repro-experiments sweep-work`` works
+unchanged, which is what keeps the lease protocol transport-agnostic.
 
 A worker compiles the scenario it receives in ``hello`` locally -
 compilation is deterministic, so coordinator and worker hold identical
